@@ -217,9 +217,26 @@ let assemble ?(results = []) (xforms : Transforms.Xform.t list) outcomes =
 
 let trials_spent t = List.fold_left (fun acc o -> acc + o.o_trials_run) 0 t.outcomes
 
+let killed_outcome ~program ~xform ~site ~seed ~status ~elapsed_s =
+  {
+    o_program = program;
+    o_xform = xform;
+    o_site = site;
+    o_status = status;
+    o_verdict = O_killed;
+    o_trials_run = 0;
+    o_static_flagged = false;
+    o_dep_pairs = 0;
+    o_dep_decided = 0;
+    o_dep_sampled = 0;
+    o_elapsed_s = elapsed_s;
+    o_seed = seed;
+  }
+
 let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = false)
     ?(certify_gate = false) programs xforms =
   let results = ref [] in
+  let outcomes = ref [] in
   (* one plan cache for the whole serial campaign: many instances of the same
      transformation share cutouts (and always share symbol valuations drawn
      from the same constraint ranges), so compiled plans are reused across
@@ -234,20 +251,29 @@ let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = 
           List.iter
             (fun site ->
               let id = instance_id ~program:pname ~xform:x.name site in
-              let config =
-                { config with Difftest.seed = instance_seed ~global:config.Difftest.seed id }
+              let seed = instance_seed ~global:config.Difftest.seed id in
+              let config = { config with Difftest.seed } in
+              let outcome =
+                match
+                  run_instance ~plan_cache ~config ~static_gate ~certify_gate ~program:(pname, g)
+                    x site
+                with
+                | r ->
+                    results := r :: !results;
+                    outcome_of_result ~seed r
+                | exception e ->
+                    (* an exception escaping one instance is that instance's
+                       outcome, as a crashed engine worker's is; the campaign
+                       goes on with the next instance *)
+                    killed_outcome ~program:pname ~xform:x.name ~site ~seed
+                      ~status:(Crashed { detail = Printexc.to_string e })
+                      ~elapsed_s:0.
               in
-              let r =
-                run_instance ~plan_cache ~config ~static_gate ~certify_gate ~program:(pname, g) x
-                  site
-              in
-              results := (r, config.Difftest.seed) :: !results)
+              outcomes := outcome :: !outcomes)
             sites)
         programs)
     xforms;
-  let results = List.rev !results in
-  let outcomes = List.map (fun (r, seed) -> outcome_of_result ~seed r) results in
-  assemble ~results:(List.map fst results) xforms outcomes
+  assemble ~results:(List.rev !results) xforms (List.rev !outcomes)
 
 let class_marker = function
   | Difftest.Semantics -> "X"

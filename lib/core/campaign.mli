@@ -120,6 +120,18 @@ val run_instance :
 val outcome_of_result :
   ?status:exec_status -> ?seed:int -> ?elapsed_s:float -> instance_result -> outcome
 
+(** The outcome of an instance that produced no verdict: its harness was
+    killed or crashed ([status]), so it counts as [O_killed] with no trials
+    run. *)
+val killed_outcome :
+  program:string ->
+  xform:string ->
+  site:Transforms.Xform.site ->
+  seed:int ->
+  status:exec_status ->
+  elapsed_s:float ->
+  outcome
+
 (** Build the campaign summary from per-instance outcomes (engine or serial).
     Rows are produced for [xforms] in order; [results] carries whatever full
     results are available. *)
@@ -135,7 +147,10 @@ val trials_spent : t -> int
     the static oracle on every instance as an independent evidence channel —
     instances are still fuzzed either way, so the table shows how the two
     verdicts corroborate. [certify_gate] runs the translation validator first
-    and skips the fuzz trials of instances it proves equivalent. *)
+    and skips the fuzz trials of instances it proves equivalent. An exception
+    escaping one instance is recorded as its {!killed_outcome} with a
+    [Crashed] status, as the engine records a crashed worker, and the
+    campaign continues. *)
 val run :
   ?config:Difftest.config ->
   ?limit_per:int option ->

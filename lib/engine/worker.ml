@@ -232,20 +232,8 @@ let rec mkdir_p dir =
   end
 
 let killed_outcome ~(item : Queue.item) ~status ~elapsed_s =
-  {
-    Campaign.o_program = item.program_name;
-    o_xform = item.xform.Transforms.Xform.name;
-    o_site = item.site;
-    o_status = status;
-    o_verdict = Campaign.O_killed;
-    o_trials_run = 0;
-    o_static_flagged = false;
-    o_dep_pairs = 0;
-    o_dep_decided = 0;
-    o_dep_sampled = 0;
-    o_elapsed_s = elapsed_s;
-    o_seed = item.seed;
-  }
+  Campaign.killed_outcome ~program:item.program_name ~xform:item.xform.Transforms.Xform.name
+    ~site:item.site ~seed:item.seed ~status ~elapsed_s
 
 let run_campaign ?(options = default_options) ?(config = Difftest.default_config) ?catalog
     programs xforms =

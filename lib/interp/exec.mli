@@ -54,7 +54,12 @@ type injection = Defs.injection =
 val injection_to_string : injection -> string
 
 type config = Defs.config = {
-  step_limit : int;  (** abort as a hang beyond this many execution steps *)
+  step_limit : int;
+      (** abort as a hang beyond this many execution steps. The plan and
+          kernel tiers skip whole periods of a loop that revisits the same
+          state ({!Period}), so a periodic hang costs a few periods rather
+          than [step_limit] steps, yet reports the exact [Hang {steps}] of
+          the full run. The tree-walk always runs every step. *)
   garbage_seed : int;  (** seed for deterministic GPU garbage allocation *)
   collect_coverage : bool;
   inject : injection option;  (** deterministic fault to inject, if any *)

@@ -972,6 +972,7 @@ type t = {
   k_dyn_init : (int * int) array;
   k_states : kstate array;
   k_start : int;  (* position in k_states, -1 when the graph has no start *)
+  k_headers : bool array;  (* loop headers, by position in k_states *)
 }
 
 (* Every rhs is evaluated uniformly (per-lane compare when it can see scalar
@@ -997,11 +998,39 @@ let run_kedge rt (e : kedge) =
   done;
   e.ke_dst
 
+(* Snapshots cover every lane: a batch is periodic when all its lanes are,
+   and lockstep keeps positions, symbols and counters uniform across them. *)
+let period_store =
+  {
+    Period.length = (fun b -> Bigarray.Array1.dim b.kb_data);
+    save =
+      (fun b s ->
+        for i = 0 to Array.length s - 1 do
+          Array.unsafe_set s i (Bigarray.Array1.unsafe_get b.kb_data i)
+        done);
+    same =
+      (fun b s ->
+        let n = Array.length s in
+        let rec go i =
+          i >= n
+          || Period.same_bits (Bigarray.Array1.unsafe_get b.kb_data i) (Array.unsafe_get s i)
+             && go (i + 1)
+        in
+        go 0);
+  }
+
 let exec_kprogram (t : t) rt =
   if t.k_start >= 0 then begin
+    let period =
+      Period.create rt.cfg period_store ~header:t.k_headers ~bufs:rt.kbufs ~dvals:rt.dvals
+        ~dset:rt.dset
+    in
     let current = ref t.k_start in
     while !current >= 0 do
       let sp = t.k_states.(!current) in
+      (match period with
+      | Some d -> rt.steps <- Period.enter d ~pos:!current ~steps:rt.steps
+      | None -> ());
       tick rt;
       record_all rt sp.ks_cov;
       Array.iter (exec_kop rt) sp.ks_ops;
@@ -1393,6 +1422,7 @@ let compile g ~symbols =
                states)
         in
         let start = Graph.start_state g in
+        let start = if start < 0 then -1 else Hashtbl.find pos_of start in
         Ok
           {
             k_bufs = bufs;
@@ -1401,7 +1431,10 @@ let compile g ~symbols =
             k_ndyn = Hashtbl.length dyn_idx;
             k_dyn_init = dyn_init;
             k_states = state_plans;
-            k_start = (if start < 0 then -1 else Hashtbl.find pos_of start);
+            k_start = start;
+            k_headers =
+              Period.headers ~start
+                (Array.map (fun ks -> Array.map (fun e -> e.ke_dst) ks.ks_edges) state_plans);
           }
       with F f -> Error f)
 

@@ -29,7 +29,10 @@ val execute :
 
 (** [execute_batch t ~inputs] runs one sweep over [Array.length inputs]
     lanes; result [i] is the outcome of lane [i]'s inputs. Missing containers
-    are zero-filled per lane exactly as in a single-trial run. *)
+    are zero-filled per lane exactly as in a single-trial run. Both entry
+    points fast-forward periodic hangs as {!Plan.execute} does (a batch is
+    periodic when all its lanes are), with the same exact step counts
+    against [config.step_limit]. *)
 val execute_batch :
   ?config:Defs.config -> t -> inputs:(string * float array) list array ->
   (Defs.outcome, Defs.fault) result array

@@ -419,6 +419,7 @@ type t = {
   p_dyn_init : (int * int) array;  (* initially bound dynamic symbols *)
   p_states : state_plan array;
   p_start : int;  (* position in p_states, -1 when the graph has no start *)
+  p_headers : bool array;  (* loop headers, by position in p_states *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -956,11 +957,25 @@ let run_edge rt (e : ledge) =
   done;
   e.le_dst
 
+let period_store =
+  {
+    Period.length = (fun (b : Value.buffer) -> Array.length b.data);
+    save = (fun b s -> Array.blit b.data 0 s 0 (Array.length s));
+    same = (fun b s -> Period.same_floats b.data s);
+  }
+
 let exec_program p rt =
   if p.p_start >= 0 then begin
+    let period =
+      Period.create rt.cfg period_store ~header:p.p_headers ~bufs:rt.bufs ~dvals:rt.dvals
+        ~dset:rt.dset
+    in
     let current = ref p.p_start in
     while !current >= 0 do
       let sp = p.p_states.(!current) in
+      (match period with
+      | Some d -> rt.steps <- Period.enter d ~pos:!current ~steps:rt.steps
+      | None -> ());
       tick rt;
       if rt.cfg.collect_coverage then Hashtbl.replace rt.cov sp.sp_cov ();
       Array.iter (exec_op rt) sp.sp_ops;
@@ -1058,6 +1073,7 @@ let compile g ~symbols =
                states)
         in
         let start = Graph.start_state g in
+        let start = if start < 0 then -1 else Hashtbl.find pos_of start in
         Ok
           {
             p_bufs = bufs;
@@ -1066,7 +1082,10 @@ let compile g ~symbols =
             p_ndyn = Hashtbl.length dyn_idx;
             p_dyn_init = dyn_init;
             p_states = state_plans;
-            p_start = (if start < 0 then -1 else Hashtbl.find pos_of start);
+            p_start = start;
+            p_headers =
+              Period.headers ~start
+                (Array.map (fun sp -> Array.map (fun e -> e.le_dst) sp.sp_edges) state_plans);
           }
       with F f -> Error f)
 

@@ -17,6 +17,10 @@ type t
 
 val compile : Sdfg.Graph.t -> symbols:(string * int) list -> (t, Defs.fault) result
 
+(** Runs the plan over fresh buffers. A loop that revisits the same state
+    (position, dynamic symbols, buffer bits) is fast-forwarded to within one
+    period of [config.step_limit] ({!Period}); the [Hang {steps}] it then
+    raises equals the full run's. Off when [config.inject] is set. *)
 val execute :
   ?config:Defs.config -> t -> inputs:(string * float array) list ->
   (Defs.outcome, Defs.fault) result

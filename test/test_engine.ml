@@ -348,6 +348,44 @@ let engine_tests =
         Alcotest.(check bool) "j1 = j4" true (keys c1 = keys c4);
         Alcotest.(check bool) "j4 = serial" true (keys c4 = keys serial);
         Alcotest.(check int) "failures found" 2 c4.Campaign.total_failed);
+    Alcotest.test_case "serial campaign records escaping exceptions like -j 2 crashes" `Quick
+      (fun () ->
+        (* cloudsc at N=8 T=3 leaves KLEV and KLON unbound, so most
+           instances raise out of the harness instead of returning a verdict *)
+        let config =
+          { Difftest.default_config with trials = 4; concretization = [ ("N", 8); ("T", 3) ] }
+        in
+        let programs = [ ("cloudsc", Workloads.Cloudsc.build ()) ] in
+        let xforms = Transforms.Registry.as_shipped () in
+        let serial = Campaign.run ~config programs xforms in
+        let parallel =
+          Engine.Worker.run_campaign
+            ~options:{ Engine.Worker.default_options with j = 2 }
+            ~config programs xforms
+        in
+        let sites =
+          List.fold_left
+            (fun n (x : Transforms.Xform.t) -> n + List.length (x.find (snd (List.hd programs))))
+            0 xforms
+        in
+        Alcotest.(check int) "every instance has an outcome" sites serial.Campaign.total_instances;
+        Alcotest.(check bool) "some instances crashed" true (serial.Campaign.total_killed > 0);
+        List.iter
+          (fun (o : Campaign.outcome) ->
+            match (o.o_verdict, o.o_status) with
+            | Campaign.O_killed, Campaign.Crashed { detail } ->
+                Alcotest.(check bool)
+                  ("crash detail: " ^ detail)
+                  true
+                  (contains detail "Unbound_symbol")
+            | Campaign.O_killed, _ -> Alcotest.fail "killed without a crash status"
+            | _ -> ())
+          serial.Campaign.outcomes;
+        Alcotest.(check string)
+          "serial table = -j 2 table" (Campaign.to_table parallel) (Campaign.to_table serial);
+        let keys c = List.map verdict_key c.Campaign.outcomes in
+        Alcotest.(check bool) "serial verdicts = -j 2 verdicts" true
+          (keys serial = keys parallel));
     Alcotest.test_case "hung instance is killed and reported as an outcome" `Quick (fun () ->
         let hang =
           {
@@ -543,6 +581,55 @@ let corpus_tests =
         let m = List.hd entries in
         Alcotest.(check string) "xform recorded" x.Transforms.Xform.name
           m.Engine.Corpus.xform;
+        rm_rf dir);
+    Alcotest.test_case "a hang case saves and replays at the default step limit" `Quick
+      (fun () ->
+        (* save and replay both re-run the case at the interpreter's
+           50M-step default; the periodic-hang fast-forward keeps that to a
+           few periods instead of 50M interpreted steps *)
+        let g = List.assoc "trisolv" (Workloads.Npb_frontend.all ()) in
+        let x =
+          Transforms.State_assign_elimination.make
+            Transforms.State_assign_elimination.Ignore_conditions
+        in
+        let hang_case =
+          List.find_map
+            (fun site ->
+              let r = Difftest.test_instance ~config g x site in
+              match r.Difftest.verdict with
+              | Difftest.Fail
+                  ({
+                     kind =
+                       Difftest.Fault_divergence { transformed = Some (Interp.Exec.Hang _); _ };
+                     _;
+                   } as f) ->
+                  Option.map
+                    (fun tc -> (site, f.Difftest.klass, tc))
+                    (Testcase.of_report ~config ~original:g r)
+              | _ -> None)
+            (x.find g)
+        in
+        let site, klass, tc =
+          match hang_case with
+          | Some c -> c
+          | None -> Alcotest.fail "no hanging StateAssignElimination case on trisolv"
+        in
+        let dir = temp_dir "ffhang" in
+        let catalog = [ x ] in
+        (match
+           Engine.Corpus.save ~dir ~catalog ~program:"trisolv" ~xform:x.Transforms.Xform.name
+             ~klass ~site tc
+         with
+        | Engine.Corpus.Saved _ -> ()
+        | _ -> Alcotest.fail "expected Saved");
+        (match Engine.Corpus.replay ~catalog dir with
+        | [ o ] ->
+            Alcotest.(check bool) "reproduced" true o.Engine.Corpus.reproduced;
+            Alcotest.(check bool)
+              ("replay detail names the hang: " ^ o.Engine.Corpus.detail)
+              true
+              (contains o.Engine.Corpus.detail "hang")
+        | os -> Alcotest.fail (Printf.sprintf "expected one outcome, got %d" (List.length os)));
         rm_rf dir);
     Alcotest.test_case "replay reproduces a saved failing case" `Quick (fun () ->
         let dir = temp_dir "ffreplay" in

@@ -432,6 +432,91 @@ let budget_tests =
           "spin under budget");
   ]
 
+(* Periodic-hang fast-forward: a loop whose counter is never incremented
+   revisits the same state every trip, so the compiled tiers skip whole
+   periods — and must still report the exact step count of the full run. *)
+let periodic_tests =
+  let spin_graph () =
+    let g = Graph.create "stuck" in
+    Graph.add_array g "x" Dtype.F64 [ Symbolic.Expr.int 4 ];
+    Graph.add_array g "y" Dtype.F64 [ Symbolic.Expr.int 4 ];
+    let s0 = Graph.add_state g "s0" in
+    Graph.set_start_state g s0;
+    let _, body, _ =
+      Builder.Build.for_loop g ~entry_from:s0 ~var:"i" ~init:Symbolic.Expr.zero
+        ~cond:(Symbolic.Cond.Lt (se "i", Symbolic.Expr.int 10))
+        ~update:(se "i") ~body_label:"body" ~after_label:"after"
+    in
+    ignore
+      (Builder.Build.mapped_tasklet g (Graph.state g body) ~label:"twice"
+         ~map:[ ("k", "0:3") ]
+         ~inputs:[ ("v", Memlet.simple "x" "k") ]
+         ~code:"o = v * 2.0"
+         ~outputs:[ ("o", Memlet.simple "y" "k") ]
+         ());
+    g
+  in
+  let inputs = [ ("x", [| 1.; -0.; 2.5; Float.nan |]) ] in
+  let fault = function
+    | Ok _ -> "ok"
+    | Error f -> Interp.Exec.fault_to_string f
+  in
+  let tiers config g =
+    [
+      ("plan", Interp.Exec.run ~config ~tier:Interp.Exec.Plan g ~symbols:[] ~inputs);
+      ("kernel", Interp.Exec.run ~config ~tier:Interp.Exec.Kernel g ~symbols:[] ~inputs);
+    ]
+    @ Array.to_list
+        (Array.mapi
+           (fun l r -> (Printf.sprintf "kernel lane %d/3" l, r))
+           (Interp.Exec.run_batch ~config g ~symbols:[] ~inputs:[| inputs; inputs; inputs |]))
+  in
+  [
+    Alcotest.test_case "a stuck loop hangs after exactly step_limit + 1 steps" `Quick (fun () ->
+        let g = spin_graph () in
+        let config = { Interp.Exec.default_config with step_limit = 400_000 } in
+        let expected = Interp.Exec.fault_to_string (Interp.Exec.Hang { steps = 400_001 }) in
+        Alcotest.(check string)
+          "tree" expected
+          (fault (Interp.Exec.run_tree ~config g ~symbols:[] ~inputs));
+        let before = Interp.Period.fast_forwards () in
+        List.iter
+          (fun (tier, r) -> Alcotest.(check string) tier expected (fault r))
+          (tiers config g);
+        Alcotest.(check bool) "fast-forwarded" true (Interp.Period.fast_forwards () > before));
+    Alcotest.test_case "fault injection turns the fast-forward off" `Quick (fun () ->
+        let g = spin_graph () in
+        List.iter
+          (fun inject ->
+            let config =
+              { Interp.Exec.default_config with step_limit = 400_000; inject = Some inject }
+            in
+            let expected = fault (Interp.Exec.run_tree ~config g ~symbols:[] ~inputs) in
+            let before = Interp.Period.fast_forwards () in
+            List.iter
+              (fun (tier, r) ->
+                Alcotest.(check string)
+                  (tier ^ " under " ^ Interp.Exec.injection_to_string inject)
+                  expected (fault r))
+              (tiers config g);
+            Alcotest.(check int)
+              ("no fast-forward under " ^ Interp.Exec.injection_to_string inject)
+              before (Interp.Period.fast_forwards ()))
+          [
+            Interp.Exec.Burn_steps { after = 1_000 };
+            Interp.Exec.Flip_bit { nth_write = 3; bit = 62 };
+          ]);
+    Alcotest.test_case "state comparison is by float bits" `Quick (fun () ->
+        let payload = Int64.float_of_bits 0x7FF0_0000_0000_0001L in
+        Alcotest.(check bool) "0.0 vs -0.0" false (Interp.Period.same_bits 0.0 (-0.0));
+        Alcotest.(check bool) "same NaN" true (Interp.Period.same_bits Float.nan Float.nan);
+        Alcotest.(check bool) "same NaN payload" true (Interp.Period.same_bits payload payload);
+        Alcotest.(check bool) "distinct NaN payloads" false
+          (Interp.Period.same_bits payload Float.nan);
+        Alcotest.(check bool) "arrays" false
+          (Interp.Period.same_floats [| 1.; 0.0 |] [| 1.; -0.0 |]));
+  ]
+
 let () =
   Alcotest.run "interp"
     [
@@ -443,4 +528,5 @@ let () =
       ("extra", extra_tests);
       ("digest", digest_tests);
       ("budget", budget_tests);
+      ("periodic", periodic_tests);
     ]

@@ -321,11 +321,74 @@ let consumer_tests =
         Alcotest.(check int) "all trials run" 40 serial.Fuzzyflow.Fuzzer.trials_run);
   ]
 
+(* ---------------- periodic hangs ---------------- *)
+
+(* Every StateAssignElimination(ignore-conditions) site of the roster,
+   applied to a copy of its program: the eliminated loop-counter update
+   leaves loops that either revisit the same state every trip (the compiled
+   tiers fast-forward them) or keep changing their buffers (they run to the
+   limit). *)
+let sae_hang_programs () =
+  let x =
+    Transforms.State_assign_elimination.make
+      Transforms.State_assign_elimination.Ignore_conditions
+  in
+  List.concat_map
+    (fun (name, g, symbols) ->
+      List.filter_map
+        (fun site ->
+          let g' = Graph.copy g in
+          match x.apply g' site with
+          | _ -> Some (name ^ "@" ^ Transforms.Xform.site_slug site, g', symbols)
+          | exception Transforms.Xform.Cannot_apply _ -> None)
+        (x.find g))
+    (roster ())
+
+let periodic_tests =
+  [
+    Alcotest.test_case "hangs of every SAE(ignore-conditions) site agree across tiers and widths"
+      `Quick (fun () ->
+        let periodic = ref 0 and drifting = ref 0 in
+        List.iter
+          (fun (name, g, symbols) ->
+            let inputs = inputs_for g ~symbols in
+            List.iter
+              (fun step_limit ->
+                let config = { Interp.Exec.default_config with step_limit } in
+                let name = Printf.sprintf "%s at limit %d" name step_limit in
+                let reference inputs = exec_tree ~config g ~symbols ~inputs in
+                let t_in = reference inputs and t_zero = reference [] in
+                List.iter
+                  (fun (tag, inputs, t) ->
+                    let before = Interp.Period.fast_forwards () in
+                    let k = exec_kernel ~config g ~symbols ~inputs in
+                    let fired = Interp.Period.fast_forwards () > before in
+                    check_same (name ^ " " ^ tag ^ " [tree=plan]") t
+                      (exec_plan ~config g ~symbols ~inputs);
+                    check_same (name ^ " " ^ tag ^ " [tree=kernel]") t k;
+                    match k with
+                    | Error (Interp.Exec.Hang _) when step_limit = 100_003 ->
+                        incr (if fired then periodic else drifting)
+                    | _ -> ())
+                  [ ("inputs", inputs, t_in); ("zeros", [], t_zero) ];
+                (* width 3: a value-diverse lane between two zero-filled ones,
+                   so a batch can mix periodic and drifting lanes *)
+                let r = Interp.Exec.run_batch ~config g ~symbols ~inputs:[| []; inputs; [] |] in
+                List.iteri
+                  (fun l t -> check_same (Printf.sprintf "%s lane %d/3" name l) t r.(l))
+                  [ t_zero; t_in; t_zero ])
+              [ 777; 12_345; 100_003 ])
+          (sae_hang_programs ());
+        Alcotest.(check bool) "some hangs are fast-forwarded" true (!periodic > 0);
+        Alcotest.(check bool) "some hangs drift and run to the limit" true (!drifting > 0));
+  ]
+
 let () =
   Alcotest.run "kernel"
     [
       ("workloads", workload_tests);
       ("batch", batch_tests);
+      ("periodic", periodic_tests);
       ("generated", generated_tests);
       ("cache", cache_tests);
       ("consumers", consumer_tests);

@@ -227,12 +227,66 @@ let consumer_tests =
         Alcotest.(check (list string)) "verdicts" (run ()) (run ~plan_cache:shared ()));
   ]
 
+(* ---------------- periodic hangs ---------------- *)
+
+(* Every StateAssignElimination(ignore-conditions) site of the roster,
+   applied to a copy of its program: the eliminated loop-counter update
+   leaves loops that either revisit the same state every trip (the plan
+   tier fast-forwards them) or keep changing their buffers (it runs them to
+   the limit). Shared with test/test_kernel.ml in spirit, not in code. *)
+let sae_hang_programs () =
+  let x =
+    Transforms.State_assign_elimination.make
+      Transforms.State_assign_elimination.Ignore_conditions
+  in
+  List.concat_map
+    (fun (name, g, symbols) ->
+      List.filter_map
+        (fun site ->
+          let g' = Graph.copy g in
+          match x.apply g' site with
+          | _ -> Some (name ^ "@" ^ Transforms.Xform.site_slug site, g', symbols)
+          | exception Transforms.Xform.Cannot_apply _ -> None)
+        (x.find g))
+    (roster ())
+
+let periodic_tests =
+  [
+    Alcotest.test_case "hangs of every SAE(ignore-conditions) site match the tree-walk" `Quick
+      (fun () ->
+        let periodic = ref 0 and drifting = ref 0 in
+        List.iter
+          (fun (name, g, symbols) ->
+            List.iter
+              (fun (tag, inputs) ->
+                List.iter
+                  (fun step_limit ->
+                    let config = { Interp.Exec.default_config with step_limit } in
+                    let before = Interp.Period.fast_forwards () in
+                    let plan = exec_plan ~config g ~symbols ~inputs in
+                    let fired = Interp.Period.fast_forwards () > before in
+                    check_same
+                      (Printf.sprintf "%s %s at limit %d" name tag step_limit)
+                      (exec_tree ~config g ~symbols ~inputs)
+                      plan;
+                    match plan with
+                    | Error (Interp.Exec.Hang _) when step_limit = 100_003 ->
+                        incr (if fired then periodic else drifting)
+                    | _ -> ())
+                  [ 777; 12_345; 100_003 ])
+              [ ("inputs", inputs_for g ~symbols); ("zeros", []) ])
+          (sae_hang_programs ());
+        Alcotest.(check bool) "some hangs are fast-forwarded" true (!periodic > 0);
+        Alcotest.(check bool) "some hangs drift and run to the limit" true (!drifting > 0));
+  ]
+
 let () =
   Alcotest.run "plan"
     [
       ("workloads", workload_tests);
       ("injection", injection_tests);
       ("faults", fault_tests);
+      ("periodic", periodic_tests);
       ("cache", cache_tests);
       ("consumers", consumer_tests);
     ]
