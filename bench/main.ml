@@ -948,8 +948,9 @@ let engine () =
     ]
   in
   let xforms = Transforms.Registry.as_shipped () in
-  (* enough trials per instance that the fork/marshal cost amortizes — the
-     regime a real campaign runs in *)
+  (* a real campaign's trial budget; a pool worker is forked once per run,
+     so what each instance adds is one index frame out and one marshalled
+     result frame back *)
   let config =
     {
       Fuzzyflow.Difftest.default_config with
@@ -958,7 +959,7 @@ let engine () =
       concretization = [ ("N", 8); ("T", 3) ];
     }
   in
-  (* serial in-process reference: the work itself, no forks *)
+  (* serial in-process reference: the work itself, no worker processes *)
   let serial, t_serial = time (fun () -> Fuzzyflow.Campaign.run ~config programs xforms) in
   let cores =
     try
@@ -983,7 +984,8 @@ let engine () =
         in
         assert (c.Fuzzyflow.Campaign.total_instances = serial.Fuzzyflow.Campaign.total_instances);
         (* scheduling overhead: how much slower one engine worker is than the
-           bare serial loop — the price of fork + marshal + polling *)
+           bare serial loop — the price of the worker fork, the frames and
+           the result marshalling *)
         let overhead = (t -. (t_serial /. float_of_int j)) /. t_serial in
         Printf.printf "%-10s %10.2f %9.2fx %10.1f %9.0f%%\n"
           (Printf.sprintf "-j %d" j)

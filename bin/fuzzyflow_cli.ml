@@ -312,7 +312,9 @@ let campaign_cmd =
     Arg.(
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker processes. Verdicts are identical for any $(docv) and seed.")
+          ~doc:
+            "Worker processes; each runs its share of the instances one after another. \
+             Verdicts are identical for any $(docv) and seed.")
   in
   let deadline_arg =
     Arg.(
@@ -403,33 +405,26 @@ let campaign_cmd =
             exit 2)
         worker_eps
     in
-    let engine_needed =
-      j > 1 || journal <> None || corpus <> None || progress || limit_per <> None
-      || workers <> []
+    let options =
+      {
+        Engine.Worker.j;
+        deadline_s = deadline;
+        journal_path = journal;
+        resume;
+        corpus_dir = corpus;
+        progress;
+        limit_per;
+        static_gate = static;
+        certify_gate = certify;
+        remote =
+          (if workers = [] then None else Some (Engine.Supervisor.executor ~workers ()));
+        journal_sink = None;
+        on_telemetry = None;
+        batching = Engine.Worker.Inherit;
+      }
     in
     let c =
-      if engine_needed then
-        let options =
-          {
-            Engine.Worker.j;
-            deadline_s = deadline;
-            journal_path = journal;
-            resume;
-            corpus_dir = corpus;
-            progress;
-            limit_per;
-            static_gate = static;
-            certify_gate = certify;
-            remote =
-              (if workers = [] then None
-               else Some (Engine.Supervisor.executor ~workers ()));
-            journal_sink = None;
-            on_telemetry = None;
-            batching = Engine.Worker.Inherit;
-          }
-        in
-        Engine.Worker.run_campaign ~options ~config ~catalog:(xform_catalog ()) programs xforms
-      else Fuzzyflow.Campaign.run ~config ~static_gate:static ~certify_gate:certify programs xforms
+      Engine.Worker.run_campaign ~options ~config ~catalog:(xform_catalog ()) programs xforms
     in
     print_string (Fuzzyflow.Campaign.to_table c)
   in
@@ -1003,8 +998,9 @@ let worker_cmd =
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Run a campaign worker: accept assignments from a dispatcher, execute each in a \
-          supervised fork exactly as the local pool would, and reply with the verdict.")
+         "Run a campaign worker: accept assignments from a dispatcher, execute each \
+          in-process under its wall-clock deadline with a plan cache kept across \
+          assignments, and reply with the verdict.")
     Term.(const run $ port_arg [ "port" ] "Listen on $(docv) (0 picks an ephemeral port)." $ once_arg)
 
 let serve_cmd =

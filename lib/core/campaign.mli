@@ -2,12 +2,12 @@
     of programs — the NPBench experiment of Sec. 6.3 (Table 2) and the
     CLOUDSC campaigns of Sec. 6.4.
 
-    [run] is the serial in-process path. The parallel, fault-tolerant path
-    lives in the [engine] library ([Engine.Worker.run_campaign]), which
-    executes the same per-instance body ({!run_instance}) in forked workers
-    and assembles its outcomes back into a {!t} via {!assemble}; [run] is its
-    [-j 1] degenerate case and produces identical verdicts because both
-    derive per-instance seeds with {!instance_seed}. *)
+    [run] is the serial in-process reference. Campaigns run through the
+    [engine] library ([Engine.Worker.run_campaign]), which executes the same
+    per-instance body ({!run_instance}) in long-lived worker processes and
+    assembles its outcomes back into a {!t} via {!assemble}; both produce
+    identical verdicts because both derive per-instance seeds with
+    {!instance_seed}. *)
 
 (** How the harness around one instance terminated. [Completed] means the
     instance produced a verdict; the other two are engine outcomes — a worker
@@ -98,7 +98,7 @@ val instance_seed : global:int -> string -> int
 
 (** The per-instance campaign body: translation validation (optional), then
     differential testing, then the static oracle evidence channel. Both the
-    serial [run] loop and the engine's forked workers execute exactly this.
+    serial [run] loop and the engine's worker processes execute exactly this.
     [plan_cache] / [kernel_cache] share compiled execution plans and batched
     kernels across instances; verdicts are cache-oblivious (both caches key
     by program digest and symbol valuation), so serial and parallel runs

@@ -61,7 +61,7 @@ type footer = {
   retries : int;  (** worker failures that led to a retry/reconnect *)
   quarantined : int;  (** remote workers quarantined after repeated failures *)
   worker_lost : int;  (** mid-instance worker losses (the instance was requeued) *)
-  degraded : bool;  (** the campaign fell back to the local fork pool *)
+  degraded : bool;  (** the campaign fell back to the local pool *)
   recovered_records : int;  (** torn tail records truncated during resume *)
 }
 

@@ -3,7 +3,7 @@
     [serve] accepts {!Wire.Submit} messages on a control socket, runs each
     submission as one campaign — dispatching instances to the configured
     remote workers through {!Supervisor.executor}, degrading to the local
-    fork pool if the fleet dies — and streams every journal line back to the
+    pool if the fleet dies — and streams every journal line back to the
     submitter as it is flushed. An optional HTTP/1.0 endpoint serves live
     JSON telemetry ([/telemetry]) and the current journal ([/journal]);
     it is polled from inside the running campaign via the supervisor's

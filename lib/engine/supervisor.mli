@@ -7,7 +7,7 @@
     Failures trigger retry with bounded exponential backoff whose jitter is
     derived deterministically from the per-instance FNV-1a seed; a worker
     that keeps failing is quarantined. Whatever the remote fleet could not
-    finish is returned to [Worker.run_campaign] for the local fork-pool
+    finish is returned to [Worker.run_campaign] for the local-pool
     fallback, so a campaign completes with correct verdicts even if every
     remote worker dies.
 

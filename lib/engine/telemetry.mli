@@ -34,7 +34,7 @@ val lost_worker : t -> unit
     campaign totals; the hit rate appears in {!render} and {!snapshot}. *)
 val worker_cache : t -> hits:int -> misses:int -> unit
 
-(** The campaign fell back to the local fork pool (degraded mode). *)
+(** The campaign fell back to the local pool (degraded mode). *)
 val set_degraded : t -> unit
 
 val degraded : t -> bool

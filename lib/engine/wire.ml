@@ -130,9 +130,12 @@ let write_all fd s deadline =
 
 let deadline_of timeout_s = Option.map (fun t -> now () +. t) timeout_s
 
+let write_frame ?timeout_s fd payload =
+  write_all fd (encode_frame payload) (deadline_of timeout_s)
+
 let write_message ?timeout_s fd msg = write_all fd (encode msg) (deadline_of timeout_s)
 
-let read_message ?timeout_s fd =
+let read_frame ?timeout_s fd =
   let deadline = deadline_of timeout_s in
   let hdr = read_exactly fd header_len deadline in
   if String.sub hdr 0 4 <> magic then raise (Protocol_error "bad magic");
@@ -144,9 +147,14 @@ let read_message ?timeout_s fd =
   let sum = String.get_int64_be hdr 10 in
   let payload = read_exactly fd len deadline in
   if not (Int64.equal (fnv1a64 payload) sum) then raise (Protocol_error "checksum mismatch");
+  payload
+
+let decode payload =
   match (Marshal.from_string payload 0 : message) with
   | m -> m
   | exception _ -> raise (Protocol_error "undecodable payload")
+
+let read_message ?timeout_s fd = decode (read_frame ?timeout_s fd)
 
 (* ---------------- connection helpers ---------------- *)
 

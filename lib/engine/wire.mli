@@ -99,13 +99,22 @@ val encode_frame : ?proto:int -> string -> string
 
 val encode : ?proto:int -> message -> string
 
-(** Write a full frame, bounded by [timeout_s] (default: block).
+(** Write a full frame around a raw payload ([write_frame]) or a marshalled
+    message ([write_message]), bounded by [timeout_s] (default: block).
     @raise Closed on a dead peer, [Timeout] past the deadline. *)
+val write_frame : ?timeout_s:float -> Unix.file_descr -> string -> unit
+
 val write_message : ?timeout_s:float -> Unix.file_descr -> message -> unit
 
-(** Read one full frame, bounded by [timeout_s] (default: block).
+(** Read one full frame and return its checksum-verified payload, bounded by
+    [timeout_s] (default: block).
     @raise Closed on EOF, [Timeout] past the deadline, [Bad_version] on a
     version-mismatched header, [Protocol_error] on corruption. *)
+val read_frame : ?timeout_s:float -> Unix.file_descr -> string
+
+(** {!read_frame}, then unmarshal the payload as a {!message}.
+    @raise Protocol_error on an undecodable payload, besides the frame
+    errors. *)
 val read_message : ?timeout_s:float -> Unix.file_descr -> message
 
 (** TCP connect with a hard timeout; the returned descriptor is blocking.

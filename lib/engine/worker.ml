@@ -2,164 +2,165 @@ open Fuzzyflow
 
 type failure = Timed_out of { deadline_s : float } | Crashed of { detail : string }
 
-(* ---------------- fork/reap protocol ---------------- *)
+(* ---------------- the local pool ---------------- *)
 
-(* Results travel through a per-child temp file rather than a pipe: a
-   marshalled cutout can exceed the pipe buffer, and a child blocked on a
-   full pipe until its deadline would be misreported as a hang. *)
+(* [j] long-lived worker processes, forked after the thunk array exists so
+   each inherits every thunk. The parent sends a thunk index as a [Wire]
+   frame over a socketpair; the worker runs it and replies with one
+   checksummed frame holding the marshalled [(value, exception text)
+   result]. A worker's death closes its socket, so the parent's whole wait
+   loop is one [select] over the busy sockets, bounded by the nearest
+   deadline. *)
 
-type child = {
+type worker = {
   pid : int;
-  tmp : string;
-  started : float;
-  c_idx : int;
-  c_slot : int;
-  mutable killed : bool;
+  fd : Unix.file_descr;  (** the parent's end of the socketpair *)
+  slot : int;
+  mutable job : int;  (** thunk index in flight, -1 when idle *)
+  mutable started : float;
 }
 
-let spawn f idx slot =
-  let tmp = Filename.temp_file "fuzzyflow-worker" ".result" in
+(* Every pool socket end this process holds. A forked worker closes all of
+   them but its own, so no process keeps another worker's socket open (its
+   death would otherwise never read as EOF) — including the workers of a
+   pool nested inside a worker. *)
+let held = ref []
+
+let close_held fd =
+  held := List.filter (fun f -> f <> fd) !held;
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* The worker side: serve indices until the parent closes the socket. A
+   result that cannot be marshalled (it holds a closure) becomes that
+   thunk's error, and the worker carries on. *)
+let serve thunks fd =
+  let rec loop () =
+    let i = int_of_string (Wire.read_frame fd) in
+    let r = try Ok (thunks.(i) ()) with e -> Error (Printexc.to_string e) in
+    let payload =
+      try Marshal.to_string r []
+      with e ->
+        Marshal.to_string
+          (Error ("worker result cannot be marshalled: " ^ Printexc.to_string e)
+            : (unit, string) result)
+          []
+    in
+    Wire.write_frame fd payload;
+    loop ()
+  in
+  loop ()
+
+let spawn thunks slot =
+  let p, c = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   flush stdout;
   flush stderr;
   match Unix.fork () with
   | 0 ->
-      (* child: compute, persist, _exit — never run the parent's at_exit
-         handlers or flush its duplicated channel buffers *)
-      let result =
-        try Ok (f ()) with e -> Error (Printexc.to_string e)
-      in
-      (try
-         let oc = open_out_bin tmp in
-         Marshal.to_channel oc result [];
-         close_out oc
-       with _ -> ());
+      (* leave only through _exit: never run the parent's at_exit handlers
+         or flush its duplicated channel buffers (an open journal among
+         them); EOF from the parent ends the serve loop *)
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) (p :: !held);
+      held := [ c ];
+      (try serve thunks c with _ -> ());
       Unix._exit 0
-  | pid -> { pid; tmp; started = Unix.gettimeofday (); c_idx = idx; c_slot = slot; killed = false }
+  | pid ->
+      Unix.close c;
+      held := p :: !held;
+      { pid; fd = p; slot; job = -1; started = 0. }
+  | exception e ->
+      Unix.close p;
+      Unix.close c;
+      raise e
 
-(* A child's result file can be absent (the child died before its write, or
-   the write itself failed) or corrupt (truncated or garbled by a killed
-   write — Marshal raises on a bad header or short payload). Both are
-   per-child outcomes, never exceptions: one damaged file must not abort the
-   campaign around it. *)
-let read_result tmp =
-  let v =
-    match open_in_bin tmp with
-    | ic ->
-        let v =
-          (* the temp file is pre-created empty at spawn, so a child that died
-             before its write leaves zero bytes: that's a missing result, not
-             a torn one *)
-          if in_channel_length ic = 0 then `Missing
-          else
-            match Marshal.from_channel ic with
-            | v -> `Result v
-            | exception _ -> `Corrupt
-        in
-        close_in_noerr ic;
-        v
-    | exception _ -> `Missing
-  in
-  (try Sys.remove tmp with _ -> ());
-  v
+let rec reap pid =
+  match Unix.waitpid [] pid with
+  | _, status -> status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
 
-let settle ~deadline_s child status =
-  if child.killed then Error (Timed_out { deadline_s })
-  else
-    match status with
-    | Unix.WEXITED 0 -> (
-        match read_result child.tmp with
-        | `Result (Ok v) -> Ok v
-        | `Result (Error detail) -> Error (Crashed { detail })
-        | `Missing -> Error (Crashed { detail = "worker exited without reporting a result" })
-        | `Corrupt -> Error (Crashed { detail = "worker result file corrupt (torn write?)" }))
-    | Unix.WEXITED n ->
-        ignore (read_result child.tmp);
-        Error (Crashed { detail = Printf.sprintf "worker exited with code %d" n })
-    | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-        ignore (read_result child.tmp);
-        Error (Crashed { detail = Printf.sprintf "worker killed by signal %d" s })
+let crash_detail = function
+  | Unix.WEXITED 0 -> "worker exited without reporting a result"
+  | Unix.WEXITED n -> Printf.sprintf "worker exited with code %d" n
+  | Unix.WSIGNALED s | Unix.WSTOPPED s -> Printf.sprintf "worker killed by signal %d" s
 
-let map_pool ~j ~deadline_s ?on_start ?on_done thunks =
+let kill pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
+
+let map_pool ~j ~deadline_s ?(on_start = fun _ _ -> ()) ?(on_done = fun _ _ -> ()) thunks =
   let n = Array.length thunks in
-  let j = max 1 j in
   let results = Array.make n None in
-  let slots = Array.make j false in
-  let free_slot () =
-    let rec go i = if i >= j then 0 else if not slots.(i) then i else go (i + 1) in
-    go 0
-  in
-  (* Sleep-wait reaping via the self-pipe trick: a SIGCHLD handler writes a
-     byte to a non-blocking pipe and the loop selects on it, with the timeout
-     bounded by the nearest child deadline. An idle pool sleeps instead of
-     burning a core, a child exit wakes the loop immediately (a signal
-     between the waitpid sweep and the select leaves its byte in the pipe,
-     so the wakeup is never lost), and deadline kills keep their precision
-     because the select never outsleeps the next deadline. *)
-  let rp, wp = Unix.pipe () in
-  Unix.set_nonblock rp;
-  Unix.set_nonblock wp;
-  let prev_sigchld =
-    Sys.signal Sys.sigchld
-      (Sys.Signal_handle
-         (fun _ -> try ignore (Unix.write wp (Bytes.make 1 '\000') 0 1) with _ -> ()))
-  in
-  let drain () =
-    let buf = Bytes.create 64 in
-    try
-      while Unix.read rp buf 0 64 > 0 do
-        ()
-      done
-    with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  in
-  Fun.protect ~finally:(fun () ->
-      Sys.set_signal Sys.sigchld prev_sigchld;
-      (try Unix.close rp with Unix.Unix_error _ -> ());
-      try Unix.close wp with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let running = ref [] in
+  let settled = ref 0 in
   let next = ref 0 in
-  while !next < n || !running <> [] do
-    while !next < n && List.length !running < j do
-      let slot = free_slot () in
-      slots.(slot) <- true;
-      let c = spawn thunks.(!next) !next slot in
-      (match on_start with Some f -> f !next slot | None -> ());
-      running := c :: !running;
-      incr next
-    done;
-    let still = ref [] in
+  let workers = ref [] in
+  (* a write to a worker that just died must fail with EPIPE, not kill us *)
+  let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () ->
+      (* close every socket first so idle workers exit together; a worker
+         still busy (an exception escaped a callback) is killed *)
+      List.iter
+        (fun w ->
+          close_held w.fd;
+          if w.job >= 0 then kill w.pid)
+        !workers;
+      List.iter (fun w -> ignore (reap w.pid)) !workers;
+      Sys.set_signal Sys.sigpipe prev_sigpipe)
+  @@ fun () ->
+  let settle w r =
+    let i = w.job in
+    w.job <- -1;
+    results.(i) <- Some r;
+    incr settled;
+    on_done i r
+  in
+  (* a worker gone with its job: reap it, and replace it while unassigned
+     work remains *)
+  let lose w failure =
+    workers := List.filter (fun w' -> w' != w) !workers;
+    close_held w.fd;
+    let status = reap w.pid in
+    settle w (Error (failure status));
+    if !next < n then workers := spawn thunks w.slot :: !workers
+  in
+  workers := List.init (min (max 1 j) n) (spawn thunks);
+  while !settled < n do
     List.iter
-      (fun c ->
-        match Unix.waitpid [ Unix.WNOHANG ] c.pid with
-        | 0, _ ->
-            if (not c.killed) && Unix.gettimeofday () -. c.started > deadline_s then begin
-              (try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ());
-              c.killed <- true
-            end;
-            still := c :: !still
-        | _, status ->
-            let r = settle ~deadline_s c status in
-            results.(c.c_idx) <- Some r;
-            slots.(c.c_slot) <- false;
-            (match on_done with Some f -> f c.c_idx r | None -> ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> still := c :: !still)
-      !running;
-    running := !still;
-    if !running <> [] then begin
-      let now = Unix.gettimeofday () in
-      let next_deadline =
-        List.fold_left
-          (fun acc c -> if c.killed then acc else Float.min acc (c.started +. deadline_s))
-          infinity !running
-      in
-      (* killed children have no deadline left to honor; cap the sleep as a
-         safety net against a lost signal either way *)
-      let tmo = Float.max 0. (Float.min (next_deadline -. now) 0.5) in
-      match Unix.select [ rp ] [] [] tmo with
-      | [ _ ], _, _ -> drain ()
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    end
+      (fun w ->
+        if w.job < 0 && !next < n then begin
+          w.job <- !next;
+          w.started <- Unix.gettimeofday ();
+          incr next;
+          (* a worker that died idle fails this write; its EOF settles the job *)
+          (try Wire.write_frame w.fd (string_of_int w.job) with Wire.Closed -> ());
+          on_start w.job w.slot
+        end)
+      !workers;
+    let busy = List.filter (fun w -> w.job >= 0) !workers in
+    let nearest =
+      List.fold_left (fun acc w -> Float.min acc (w.started +. deadline_s)) infinity busy
+    in
+    let ready =
+      let tmo = Float.max 0. (nearest -. Unix.gettimeofday ()) in
+      match Unix.select (List.map (fun w -> w.fd) busy) [] [] tmo with
+      | r, _, _ -> r
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+    in
+    let now = Unix.gettimeofday () in
+    List.iter
+      (fun w ->
+        if List.mem w.fd ready then
+          (* the worker writes its whole frame at once: read it to the end *)
+          match Wire.read_frame ~timeout_s:deadline_s w.fd with
+          | payload -> (
+              match (Marshal.from_string payload 0 : (_, string) result) with
+              | Ok v -> settle w (Ok v)
+              | Error detail -> settle w (Error (Crashed { detail })))
+          | exception Wire.Closed -> lose w (fun st -> Crashed { detail = crash_detail st })
+          | exception (Wire.Timeout | Wire.Protocol_error _ | Wire.Bad_version _) ->
+              kill w.pid;
+              lose w (fun _ -> Crashed { detail = "worker sent a corrupt result frame" })
+        else if now -. w.started >= deadline_s then begin
+          kill w.pid;
+          lose w (fun _ -> Timed_out { deadline_s })
+        end)
+      busy
   done;
   Array.map Option.get results
 
@@ -238,7 +239,7 @@ let killed_outcome ~(item : Queue.item) ~status ~elapsed_s =
 let run_campaign ?(options = default_options) ?(config = Difftest.default_config) ?catalog
     programs xforms =
   let catalog = match catalog with Some c -> c | None -> xforms in
-  (* resolve the batch width once: it flows into local children and remote
+  (* resolve the batch width once: it flows into local workers and remote
      assignments alike through the one config value, and verdicts are
      width-oblivious, so this cannot perturb journals *)
   let config =
@@ -340,16 +341,18 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
   Array.iteri (fun i o -> if o = None then fresh_idx := i :: !fresh_idx) outcomes;
   let fresh = Array.of_list (List.rev !fresh_idx) in
   let results : (int * Campaign.instance_result) list ref = ref [] in
+  (* one plan/kernel cache per worker process, forced inside the worker:
+     compiled plans hold closures, which never cross the result channel, and
+     verdicts are cache-oblivious, so sharing the cache across the instances
+     one worker runs cannot perturb the journal *)
+  let caches =
+    lazy (Interp.Plan.Cache.create ~capacity:256 (), Interp.Kernel.Cache.create ~capacity:256 ())
+  in
   let thunk_of fi =
     let it = items.(fresh.(fi)) in
     fun () ->
       let config = { config with Difftest.seed = it.Queue.seed } in
-      (* the plan cache is created here, inside the forked child: compiled
-         plans hold closures, which must never cross the Marshal channel
-         back to the parent, and a per-process cache keeps workers
-         deterministic regardless of scheduling *)
-      let plan_cache = Interp.Plan.Cache.create () in
-      let kernel_cache = Interp.Kernel.Cache.create () in
+      let plan_cache, kernel_cache = Lazy.force caches in
       Campaign.run_instance ~plan_cache ~kernel_cache ~config ~static_gate:options.static_gate
         ~certify_gate:options.certify_gate
         ~program:(it.program_name, it.program)
@@ -412,7 +415,7 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
   | Some r ->
       (* remote dispatch reports through the same callbacks as the local
          pool; whatever it could not complete (every worker dead or
-         quarantined) degrades to the local fork pool — a campaign never
+         quarantined) degrades to the local pool — a campaign never
          hangs or loses an instance because its workers died *)
       let leftovers =
         r.dispatch

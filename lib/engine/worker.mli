@@ -1,34 +1,34 @@
-(** Fork-based worker pool with wall-clock deadlines, and the parallel
-    campaign driver built on it.
+(** Local worker pool with wall-clock deadlines, and the campaign runner
+    built on it.
 
-    Each work item runs in a [Unix.fork]ed child so interpreter hangs and
-    crashes are isolated: a child past its deadline is SIGKILLed and recorded
-    as a [Timed_out] outcome; a child that dies without reporting becomes
-    [Crashed]. Results travel back through a per-child temp file (Marshal),
-    so arbitrarily large cutouts never deadlock a pipe. *)
+    A pool runs its work items in long-lived forked worker processes, so
+    interpreter hangs and crashes are isolated from the campaign: a worker
+    past its deadline is SIGKILLed and its item recorded as [Timed_out]; a
+    worker that dies without replying makes its item [Crashed]. Either way
+    the worker is reaped and, while work remains, replaced. Results travel
+    back as one checksummed {!Wire} frame per item over a socketpair. *)
 
-(** Why a supervised child produced no value. *)
+(** Why a supervised item produced no value. *)
 type failure =
   | Timed_out of { deadline_s : float }
   | Crashed of { detail : string }
 
-(** Read and delete a child's marshalled result file. [`Missing] when the
-    file cannot be opened or is empty (the child died before writing),
-    [`Corrupt] when Marshal rejects its contents (a torn write); the pool
-    maps both to [Crashed] rather than raising. Exposed for tests. *)
-val read_result : string -> [ `Result of ('a, string) result | `Missing | `Corrupt ]
-
-(** [supervise ~deadline_s f] runs [f ()] in a forked child and waits:
-    [Ok v] if the child finished in time, [Error] otherwise. The synchronous
-    single-job version of the pool — also its unit-testable core. *)
+(** [supervise ~deadline_s f] runs [f ()] in a forked worker and waits:
+    [Ok v] if it finished in time, [Error] otherwise. [map_pool ~j:1] over
+    one thunk. *)
 val supervise : deadline_s:float -> (unit -> 'a) -> ('a, failure) result
 
-(** [map_pool ~j ~deadline_s thunks] runs every thunk in a forked child, at
-    most [j] alive at once, killing any child past [deadline_s]. Results are
-    in input order. [on_done i r] fires as each thunk settles (completion
-    order); [on_start i slot] fires as each is forked. The reap loop
-    sleep-waits on a SIGCHLD self-pipe (bounded by the nearest child
-    deadline), so an idle or blocked pool does not burn a core. *)
+(** [map_pool ~j ~deadline_s thunks] forks [min j n] workers after [thunks]
+    exists, so each inherits every thunk, and hands them thunk indices one
+    at a time; a worker runs the items it is handed one after another in
+    the same process. Any item past [deadline_s] has its worker killed.
+    Results are in input order. A raising thunk, or one whose value cannot
+    be marshalled (a closure), is [Crashed] with the exception text.
+    [on_done i r] fires as each thunk settles (completion order);
+    [on_start i slot] fires as each is handed to the worker in [slot]. The
+    wait loop sleeps in [select] on the busy workers' sockets, bounded by
+    the nearest deadline, so an idle or blocked pool does not burn a core.
+    Every worker is reaped before [map_pool] returns. *)
 val map_pool :
   j:int ->
   deadline_s:float ->
@@ -41,7 +41,7 @@ val map_pool :
     the fresh queue items on remote workers, reporting through the same
     [on_start]/[on_done] callbacks (keyed by fresh-array index) as the local
     pool, and return the indices it could not complete — those degrade to
-    the local fork pool. *)
+    the local pool. *)
 type remote_executor = {
   dispatch :
     items:Queue.item array ->
@@ -87,14 +87,15 @@ type options = {
           (the service's HTTP endpoint reads it) *)
   batching : batching;
       (** batch-width policy for the trial loop; the resolved width travels
-          inside the per-instance config to local children and remote
+          inside the per-instance config to local and remote
           workers alike, and journals stay byte-identical at every width *)
 }
 
 val default_options : options
 
 (** Run a campaign through the engine: enumerate the queue, execute every
-    instance not already journaled in forked workers, journal outcomes in
+    instance not already journaled in pool workers (each keeps one plan and
+    kernel cache across the instances it runs), journal outcomes in
     queue order (so same-seed reruns are bit-identical and an interrupted
     journal is a clean prefix), persist failing cases to the corpus, and
     assemble the Table 2 summary from engine outcomes.

@@ -188,7 +188,7 @@ let mpi_specs ~seed =
 (* ---- network / distributed-service specs ---------------------------------- *)
 
 (* Small workloads keep each chaos probe (one reference campaign + one
-   chaotic campaign, each forking per instance) inside the probe deadline. *)
+   chaotic campaign) inside the probe deadline. *)
 let net_workloads = [ "scale"; "axpy" ]
 
 (* Every spec is Must_heal: whatever the proxy or the worker's death does,

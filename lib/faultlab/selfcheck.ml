@@ -1,7 +1,7 @@
 open Fuzzyflow
 
-(* What one probe (forked child) reports back. Kept free of closures and
-   graphs so it marshals cheaply through the worker temp-file protocol. *)
+(* What one probe (run by a pool worker) reports back. Kept free of closures
+   and graphs so it marshals cheaply into the worker's result frame. *)
 type probe_result =
   | R_verdict of {
       klass : Difftest.failure_class option;  (** [None]: the oracle saw nothing *)

@@ -232,38 +232,81 @@ let worker_tests =
               (contains detail "without reporting")
         | Ok _ -> Alcotest.fail "expected Crashed"
         | Error (Engine.Worker.Timed_out _) -> Alcotest.fail "expected Crashed, got Timed_out");
-    Alcotest.test_case "corrupt marshal result file reads as `Corrupt" `Quick (fun () ->
-        let path = Filename.temp_file "ffresult" ".result" in
-        let oc = open_out_bin path in
-        output_string oc "this is not a marshalled value";
-        close_out oc;
-        (match (Engine.Worker.read_result path : [ `Result of (int, string) result | `Missing | `Corrupt ]) with
-        | `Corrupt -> ()
-        | `Missing -> Alcotest.fail "expected `Corrupt, got `Missing"
-        | `Result _ -> Alcotest.fail "expected `Corrupt, got a value");
-        Alcotest.(check bool) "result file consumed" false (Sys.file_exists path));
-    Alcotest.test_case "truncated marshal result file reads as `Corrupt" `Quick (fun () ->
-        let path = Filename.temp_file "ffresult" ".result" in
-        let oc = open_out_bin path in
-        Marshal.to_channel oc (Ok 42 : (int, string) result) [];
-        close_out oc;
-        let ic = open_in_bin path in
-        let full = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let oc = open_out_bin path in
-        output_string oc (String.sub full 0 (String.length full - 1));
-        close_out oc;
-        (match (Engine.Worker.read_result path : [ `Result of (int, string) result | `Missing | `Corrupt ]) with
-        | `Corrupt -> ()
-        | `Missing -> Alcotest.fail "expected `Corrupt, got `Missing"
-        | `Result _ -> Alcotest.fail "truncated payload accepted"));
-    Alcotest.test_case "missing result file reads as `Missing" `Quick (fun () ->
-        match
-          (Engine.Worker.read_result "/nonexistent/worker.result"
-            : [ `Result of (int, string) result | `Missing | `Corrupt ])
-        with
-        | `Missing -> ()
-        | `Corrupt | `Result _ -> Alcotest.fail "expected `Missing");
+    Alcotest.test_case "one worker runs every thunk at j = 1" `Quick (fun () ->
+        let rs = Engine.Worker.map_pool ~j:1 ~deadline_s:10. (Array.make 4 Unix.getpid) in
+        let pids =
+          Array.map (function Ok p -> p | Error _ -> Alcotest.fail "unexpected failure") rs
+        in
+        Array.iter (fun p -> Alcotest.(check int) "same worker" pids.(0) p) pids;
+        Alcotest.(check bool) "not the parent" true (pids.(0) <> Unix.getpid ()));
+    Alcotest.test_case "a worker lost mid-pool is replaced while work remains" `Quick (fun () ->
+        let rs =
+          Engine.Worker.map_pool ~j:1 ~deadline_s:10.
+            (Array.init 5 (fun i () -> if i = 1 then Unix._exit 3 else i))
+        in
+        Array.iteri
+          (fun i r ->
+            match (i, r) with
+            | 1, Error (Engine.Worker.Crashed { detail }) ->
+                Alcotest.(check string) "exit code in detail" "worker exited with code 3" detail
+            | 1, _ -> Alcotest.fail "expected Crashed at index 1"
+            | i, Ok v -> Alcotest.(check int) "value" i v
+            | _, Error _ -> Alcotest.fail (Printf.sprintf "index %d failed" i))
+          rs);
+    Alcotest.test_case "an unmarshallable result is Crashed and keeps the worker" `Quick
+      (fun () ->
+        let rs =
+          Engine.Worker.map_pool ~j:1 ~deadline_s:10.
+            [|
+              (fun () -> (Unix.getpid (), None));
+              (fun () -> (Unix.getpid (), Some succ));
+              (fun () -> (Unix.getpid (), None));
+            |]
+        in
+        (match rs.(1) with
+        | Error (Engine.Worker.Crashed { detail }) ->
+            Alcotest.(check bool) "detail names marshalling" true (contains detail "marshalled")
+        | _ -> Alcotest.fail "expected Crashed");
+        match (rs.(0), rs.(2)) with
+        | Ok (p0, _), Ok (p2, _) -> Alcotest.(check int) "same worker after the failure" p0 p2
+        | _ -> Alcotest.fail "neighbours should succeed");
+    Alcotest.test_case "a 16 MB result arrives within a 2 s deadline" `Quick (fun () ->
+        let len = 16 * 1024 * 1024 in
+        match Engine.Worker.supervise ~deadline_s:2. (fun () -> String.make len 'x') with
+        | Ok s -> Alcotest.(check int) "length" len (String.length s)
+        | Error (Engine.Worker.Timed_out _) -> Alcotest.fail "timed out"
+        | Error (Engine.Worker.Crashed { detail }) -> Alcotest.fail ("crashed: " ^ detail));
+    Alcotest.test_case "every worker is reaped when map_pool returns" `Quick (fun () ->
+        (* each thunk logs its worker's pid first, so the killed and the
+           crashed worker are checked too *)
+        let log = Filename.temp_file "ffpool" ".pids" in
+        let rs =
+          Engine.Worker.map_pool ~j:2 ~deadline_s:0.5
+            (Array.init 6 (fun i () ->
+                 let oc = open_out_gen [ Open_append; Open_wronly ] 0o600 log in
+                 Printf.fprintf oc "%d\n" (Unix.getpid ());
+                 close_out oc;
+                 if i = 2 then Unix.sleepf 30.;
+                 if i = 4 then Unix._exit 1;
+                 i))
+        in
+        Alcotest.(check int) "four survivors" 4
+          (Array.to_list rs |> List.filter Result.is_ok |> List.length);
+        let ic = open_in log in
+        let pids = ref [] in
+        (try
+           while true do
+             pids := int_of_string (input_line ic) :: !pids
+           done
+         with End_of_file -> close_in ic);
+        Sys.remove log;
+        Alcotest.(check int) "six thunks logged" 6 (List.length !pids);
+        List.iter
+          (fun pid ->
+            match Unix.kill pid 0 with
+            | () -> Alcotest.fail (Printf.sprintf "worker %d still exists" pid)
+            | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
+          (List.sort_uniq compare !pids));
     Alcotest.test_case "step-limit-disabled looping cutout is killed at the deadline" `Quick
       (fun () ->
         let g = spin_graph () in
@@ -319,9 +362,9 @@ let worker_tests =
         (match rs.(1) with
         | Ok 1 -> ()
         | _ -> Alcotest.fail "fast sibling unaffected");
-        (* the reap loop sleeps on the SIGCHLD self-pipe bounded by the next
-           child deadline — overrun must stay close to the 0.5s budget, not
-           drift to the old busy-poll granularity or a full select cap *)
+        (* the wait loop sleeps in select bounded by the next worker
+           deadline — overrun must stay close to the 0.5s budget, not drift
+           to a polling granularity or a fixed select cap *)
         Alcotest.(check bool)
           (Printf.sprintf "killed near the deadline (%.2fs elapsed)" elapsed)
           true
