@@ -318,7 +318,7 @@ let table2 () =
       trials = 10;
       max_size = 10;
       step_limit = 200_000;
-      concretization = [ ("N", 8); ("T", 3); ("H", 4); ("R", 3); ("Q", 4); ("P", 3) ];
+      concretization = Workloads.Registry.symbols;
     }
   in
   let programs = Workloads.Npbench.all () @ Workloads.Npb_frontend.all () in
@@ -658,7 +658,7 @@ let equiv () =
       Fuzzyflow.Difftest.default_config with
       trials = 10;
       max_size = 8;
-      concretization = [ ("N", 8); ("T", 3) ];
+      concretization = Workloads.Registry.symbols;
     }
   in
   let xforms = Transforms.Registry.as_shipped () in
@@ -694,25 +694,7 @@ let equiv () =
 
 let analysis () =
   header "Dataflow analyses: per-pass runtime and interval-fact certify upgrades";
-  let programs =
-    Workloads.Npbench.all () @ Workloads.Npb_frontend.all ()
-    @ [
-        ("bert", Workloads.Bert.build ());
-        ("cloudsc", Workloads.Cloudsc.build ());
-        ("fig4", Workloads.Fig4.build ());
-        ("sddmm", (let g, _, _ = Workloads.Sddmm.rank_program () in g));
-      ]
-  in
-  let symbols_for g =
-    let base =
-      match Sdfg.Graph.name g with
-      | "bert_encoder" -> Workloads.Bert.default_symbols
-      | "cloudsc_synth" -> Workloads.Cloudsc.default_symbols
-      | "sddmm_rank" -> [ ("LROWS", 4); ("NCOLS", 6); ("K", 3) ]
-      | _ -> [ ("N", 8); ("T", 3) ]
-    in
-    List.filter (fun (s, _) -> List.mem s (Sdfg.Graph.all_free_syms g)) base
-  in
+  let programs = Workloads.Registry.all () in
   (* per-pass wall clock, summed over the whole suite *)
   let max_iters = ref 0 in
   let passes =
@@ -721,13 +703,15 @@ let analysis () =
       ("reachdef", fun g -> List.length (Analysis.Reachdef.check g));
       ( "intervals",
         fun g ->
-          let sol = Analysis.Intervals.solve ~symbols:(symbols_for g) g in
+          let sol = Analysis.Intervals.solve ~symbols:(Workloads.Registry.symbols_of g) g in
           if not sol.Analysis.Fixpoint.converged then max_iters := max_int
           else max_iters := max !max_iters sol.Analysis.Fixpoint.iterations;
-          List.length (Analysis.Intervals.facts ~symbols:(symbols_for g) g) );
+          List.length (Analysis.Intervals.facts ~symbols:(Workloads.Registry.symbols_of g) g) );
       ("defuse", fun g -> List.length (Analysis.Defuse.check g));
-      ("footprint", fun g -> List.length (Analysis.Footprint.check ~symbols:(symbols_for g) g));
-      ("oracle", fun g -> List.length (Analysis.Oracle.analyze ~symbols:(symbols_for g) g));
+      ( "footprint",
+        fun g -> List.length (Analysis.Footprint.check ~symbols:(Workloads.Registry.symbols_of g) g) );
+      ( "oracle",
+        fun g -> List.length (Analysis.Oracle.analyze ~symbols:(Workloads.Registry.symbols_of g) g) );
     ]
   in
   Printf.printf "%-12s %10s %10s\n" "pass" "total (ms)" "findings";
@@ -745,15 +729,7 @@ let analysis () =
     (List.length programs);
   (* certify with and without interval facts: how many Unknown verdicts do
      the envelope bounds upgrade to a definite answer? *)
-  let xforms =
-    Transforms.Registry.as_shipped () @ Transforms.Registry.all_correct ()
-    |> List.fold_left
-         (fun acc (x : Transforms.Xform.t) ->
-           if List.exists (fun (y : Transforms.Xform.t) -> y.name = x.name) acc then acc
-           else x :: acc)
-         []
-    |> List.rev
-  in
+  let xforms = Transforms.Registry.all () in
   let instances = ref 0
   and unknown_off = ref 0
   and upgraded_equivalent = ref 0
@@ -762,7 +738,7 @@ let analysis () =
     time (fun () ->
         List.iter
           (fun (_, g) ->
-            let symbols = symbols_for g in
+            let symbols = Workloads.Registry.symbols_of g in
             List.iter
               (fun (x : Transforms.Xform.t) ->
                 List.iter
@@ -825,11 +801,6 @@ let deps () =
     | None -> 39
   in
   let programs = Workloads.Npbench.all () @ Workloads.Npb_frontend.all () in
-  let symbols_for g =
-    List.filter
-      (fun (s, _) -> List.mem s (Sdfg.Graph.all_free_syms g))
-      [ ("N", 8); ("T", 3) ]
-  in
   Printf.printf "%-16s %6s %8s %8s %8s %10s\n" "workload" "pairs" "disjoint" "overlap"
     "sampled" "ms";
   let total = ref Analysis.Races.stats_zero and total_ms = ref 0. in
@@ -841,9 +812,8 @@ let deps () =
            write/read pairs of sequential scopes are dependence queries too *)
         let _, t =
           time (fun () ->
-              let _, s =
-                Analysis.Oracle.analyze_stats ~carried:true ~symbols:(symbols_for g) g
-              in
+              let symbols = Workloads.Registry.symbols_of g in
+              let _, s = Analysis.Oracle.analyze_stats ~carried:true ~symbols g in
               stats := s)
         in
         let s = !stats in
@@ -871,20 +841,12 @@ let deps () =
     "exact tier: %d/%d access pairs decided (%.0f%%), %d sampled, %.3f ms per pair\n" decided
     !total.Analysis.Races.pairs (100. *. fraction) !total.Analysis.Races.sampled per_pair;
   (* registry-wide certify sweep: exact tier off vs on *)
-  let xforms =
-    Transforms.Registry.as_shipped () @ Transforms.Registry.all_correct ()
-    |> List.fold_left
-         (fun acc (x : Transforms.Xform.t) ->
-           if List.exists (fun (y : Transforms.Xform.t) -> y.name = x.name) acc then acc
-           else x :: acc)
-         []
-    |> List.rev
-  in
+  let xforms = Transforms.Registry.all () in
   let sweep ~use_deps =
     let eq = ref 0 and refuted = ref 0 and unknown = ref 0 and n = ref 0 in
     List.iter
       (fun (_, g) ->
-        let symbols = symbols_for g in
+        let symbols = Workloads.Registry.symbols_of g in
         List.iter
           (fun (x : Transforms.Xform.t) ->
             List.iter
@@ -956,7 +918,7 @@ let engine () =
       Fuzzyflow.Difftest.default_config with
       trials = 200;
       max_size = 12;
-      concretization = [ ("N", 8); ("T", 3) ];
+      concretization = Workloads.Registry.symbols;
     }
   in
   (* serial in-process reference: the work itself, no worker processes *)

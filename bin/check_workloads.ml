@@ -1,23 +1,12 @@
 (* Validates and executes every workload once; prints per-workload status. *)
 
-let symbols_for name =
-  match name with
-  | "bert_encoder" -> Workloads.Bert.default_symbols
-  | "cloudsc_synth" -> Workloads.Cloudsc.default_symbols
-  | "sddmm_rank" -> [ ("LROWS", 4); ("NCOLS", 6); ("K", 3) ]
-  | _ -> [ ("N", 8); ("T", 3) ]
-
 let check (name, g) =
   match Sdfg.Validate.check g with
   | e :: _ ->
       Format.printf "%-16s VALIDATE FAIL: %a@." name Sdfg.Validate.pp_error e;
       false
   | [] -> (
-      let symbols =
-        List.filter
-          (fun (s, _) -> List.mem s (Sdfg.Graph.all_free_syms g))
-          (symbols_for (Sdfg.Graph.name g))
-      in
+      let symbols = Workloads.Registry.symbols_of g in
       let env = Symbolic.Expr.Env.of_list symbols in
       let inputs =
         List.filter_map
@@ -41,16 +30,7 @@ let check (name, g) =
           false)
 
 let () =
-  let workloads =
-    Workloads.Npbench.all ()
-    @ [
-        ("bert", Workloads.Bert.build ());
-        ("cloudsc", Workloads.Cloudsc.build ());
-        ("fig4", Workloads.Fig4.build ());
-        ("sddmm", (let g, _, _ = Workloads.Sddmm.rank_program () in g));
-      ]
-  in
-  let ok = List.for_all Fun.id (List.map check workloads) in
+  let ok = List.for_all Fun.id (List.map check (Workloads.Registry.all ())) in
   (* distributed sddmm vs reference *)
   let rows = 8 and cols = 6 and k = 3 in
   let rng = ref 1 in

@@ -22,34 +22,22 @@
 
 open Cmdliner
 
-let workloads () =
-  Workloads.Npbench.all () @ Workloads.Npb_frontend.all ()
-  @ [
-      ("bert", Workloads.Bert.build ());
-      ("cloudsc", Workloads.Cloudsc.build ());
-      ("fig4", Workloads.Fig4.build ());
-      ("sddmm", (let g, _, _ = Workloads.Sddmm.rank_program () in g));
-    ]
-
 let xform_catalog () =
-  Transforms.Registry.as_shipped () @ Transforms.Registry.all_correct ()
-  @ [
-      Transforms.Map_tiling.make Transforms.Map_tiling.Off_by_one;
-      Transforms.Map_tiling.make Transforms.Map_tiling.No_remainder;
-      Transforms.Gpu_kernel_extraction.make Transforms.Gpu_kernel_extraction.Correct;
-      Transforms.Gpu_kernel_extraction.make Transforms.Gpu_kernel_extraction.Full_copy_back;
-      Transforms.Loop_unrolling.make Transforms.Loop_unrolling.Correct;
-      Transforms.Loop_unrolling.make Transforms.Loop_unrolling.Negative_step_sign_error;
-    ]
-  |> List.fold_left
-       (fun acc (x : Transforms.Xform.t) ->
-         if List.exists (fun (y : Transforms.Xform.t) -> y.name = x.name) acc then acc
-         else x :: acc)
-       []
-  |> List.rev
+  let registered = Transforms.Registry.all () in
+  registered
+  @ List.filter
+      (fun (x : Transforms.Xform.t) -> Transforms.Registry.by_name registered x.name = None)
+      [
+        Transforms.Map_tiling.make Transforms.Map_tiling.Off_by_one;
+        Transforms.Map_tiling.make Transforms.Map_tiling.No_remainder;
+        Transforms.Gpu_kernel_extraction.make Transforms.Gpu_kernel_extraction.Correct;
+        Transforms.Gpu_kernel_extraction.make Transforms.Gpu_kernel_extraction.Full_copy_back;
+        Transforms.Loop_unrolling.make Transforms.Loop_unrolling.Correct;
+        Transforms.Loop_unrolling.make Transforms.Loop_unrolling.Negative_step_sign_error;
+      ]
 
 let find_workload name =
-  match List.assoc_opt name (workloads ()) with
+  match Workloads.Registry.find name with
   | Some g -> g
   | None ->
       Printf.eprintf "unknown workload %s (try: fuzzyflow list)\n" name;
@@ -88,7 +76,13 @@ let defines_arg =
   Arg.(
     value
     & opt_all (pair ~sep:'=' string int) []
-    & info [ "D"; "define" ] ~docv:"SYM=VAL" ~doc:"Concretization symbol values (repeatable).")
+    & info [ "D"; "define" ] ~docv:"SYM=VAL"
+        ~doc:
+          ("Override one symbol of the default valuation (repeatable). Every command starts \
+            from the registry's table, which binds every program: "
+          ^ String.concat " "
+              (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) Workloads.Registry.symbols)
+          ^ "."))
 
 let save_arg =
   Arg.(
@@ -122,7 +116,7 @@ let mk_config trials seed max_size no_min_cut defines =
     seed;
     max_size;
     use_min_cut = not no_min_cut;
-    concretization = defines;
+    concretization = Workloads.Registry.with_defines defines;
   }
 
 (* ---------------- commands ---------------- *)
@@ -130,7 +124,7 @@ let mk_config trials seed max_size no_min_cut defines =
 let list_cmd =
   let run () =
     print_endline "workloads:";
-    List.iter (fun (n, _) -> Printf.printf "  %s\n" n) (workloads ());
+    List.iter (fun (n, _) -> Printf.printf "  %s\n" n) (Workloads.Registry.all ());
     print_endline "transformations:";
     List.iter (fun (x : Transforms.Xform.t) -> Printf.printf "  %s\n" x.name) (xform_catalog ())
   in
@@ -372,7 +366,6 @@ let campaign_cmd =
   in
   let run ws correct certify static trials seed max_size no_min_cut defines j deadline journal
       resume corpus progress limit_per generated styles worker_eps batch =
-    let defines = if defines = [] then [ ("N", 8); ("T", 3) ] else defines in
     let config = mk_config trials seed max_size no_min_cut defines in
     let config = { config with Fuzzyflow.Difftest.batch = resolve_batch ~trials batch } in
     let gen_programs =
@@ -385,7 +378,7 @@ let campaign_cmd =
     in
     let programs =
       match (ws, gen_programs) with
-      | [], [] -> workloads ()
+      | [], [] -> Workloads.Registry.all ()
       | [], gps -> gps
       | ws, gps -> List.map (fun w -> (w, find_workload w)) ws @ gps
     in
@@ -494,12 +487,12 @@ let cutout_cmd =
   in
   let run w state nodes defines =
     let g = find_workload w in
+    let symbols = Workloads.Registry.with_defines defines in
     let cut =
-      Fuzzyflow.Cutout.extract_dataflow ~options:{ Fuzzyflow.Cutout.symbols = defines } g ~state
-        ~nodes
+      Fuzzyflow.Cutout.extract_dataflow ~options:{ Fuzzyflow.Cutout.symbols } g ~state ~nodes
     in
     Format.printf "%a@." Fuzzyflow.Cutout.pp cut;
-    let cut', stats = Fuzzyflow.Min_cut.minimize g cut ~symbols:defines in
+    let cut', stats = Fuzzyflow.Min_cut.minimize g cut ~symbols in
     Printf.printf "min input-flow cut: %d -> %d elements; inputs {%s}\n" stats.original_elements
       stats.minimized_elements
       (String.concat ", " cut'.input_config)
@@ -507,13 +500,6 @@ let cutout_cmd =
   Cmd.v
     (Cmd.info "cutout" ~doc:"Extract and minimize a cutout around given nodes.")
     Term.(const run $ workload_arg $ state_arg $ nodes_arg $ defines_arg)
-
-let default_symbols_for name =
-  match name with
-  | "bert_encoder" -> Workloads.Bert.default_symbols
-  | "cloudsc_synth" -> Workloads.Cloudsc.default_symbols
-  | "sddmm_rank" -> [ ("LROWS", 4); ("NCOLS", 6); ("K", 3) ]
-  | _ -> [ ("N", 8); ("T", 3) ]
 
 let analyze_cmd =
   let carried_arg =
@@ -524,10 +510,7 @@ let analyze_cmd =
   in
   let run w defines carried =
     let g = find_workload w in
-    let symbols =
-      let base = if defines = [] then default_symbols_for (Sdfg.Graph.name g) else defines in
-      List.filter (fun (s, _) -> List.mem s (Sdfg.Graph.all_free_syms g)) base
-    in
+    let symbols = Workloads.Registry.symbols_of ~defines g in
     match Analysis.Oracle.analyze ~carried ~symbols g with
     | [] ->
         Printf.printf "%s: no findings (symbols: %s)\n" w
@@ -581,16 +564,15 @@ let lint_cmd =
   in
   let run ws json out defines =
     let programs =
-      match ws with [] -> workloads () | ws -> List.map (fun w -> (w, find_workload w)) ws
+      match ws with
+      | [] -> Workloads.Registry.all ()
+      | ws -> List.map (fun w -> (w, find_workload w)) ws
     in
     (* dataflow oracle over every selected workload *)
     let oracle_rows =
       List.map
         (fun (name, g) ->
-          let symbols =
-            let base = if defines = [] then default_symbols_for (Sdfg.Graph.name g) else defines in
-            List.filter (fun (s, _) -> List.mem s (Sdfg.Graph.all_free_syms g)) base
-          in
+          let symbols = Workloads.Registry.symbols_of ~defines g in
           (name, Analysis.Oracle.analyze ~symbols g))
         programs
     in
@@ -602,10 +584,7 @@ let lint_cmd =
     let dataflow_rows =
       List.map
         (fun (name, g) ->
-          let symbols =
-            let base = if defines = [] then default_symbols_for (Sdfg.Graph.name g) else defines in
-            List.filter (fun (s, _) -> List.mem s (Sdfg.Graph.all_free_syms g)) base
-          in
+          let symbols = Workloads.Registry.symbols_of ~defines g in
           let dead_containers =
             match Analysis.Liveness.dead_containers g with l -> l | exception _ -> []
           in
@@ -626,15 +605,7 @@ let lint_cmd =
     in
     (* change-set audit over every (workload, transformation, site) instance of
        the registry catalog: each declaration must cover its true diff *)
-    let xforms =
-      Transforms.Registry.as_shipped () @ Transforms.Registry.all_correct ()
-      |> List.fold_left
-           (fun acc (x : Transforms.Xform.t) ->
-             if List.exists (fun (y : Transforms.Xform.t) -> y.name = x.name) acc then acc
-             else x :: acc)
-           []
-      |> List.rev
-    in
+    let xforms = Transforms.Registry.all () in
     let audit_instances = ref 0 in
     let audit_rows =
       List.concat_map
@@ -777,10 +748,7 @@ let certify_cmd =
   let run w x defines =
     let g = find_workload w in
     let xform = find_xform x in
-    let symbols =
-      let base = if defines = [] then default_symbols_for (Sdfg.Graph.name g) else defines in
-      List.filter (fun (s, _) -> List.mem s (Sdfg.Graph.all_free_syms g)) base
-    in
+    let symbols = Workloads.Registry.symbols_of ~defines g in
     let sites = xform.find g in
     if sites = [] then begin
       print_endline "no application sites found";
@@ -814,7 +782,6 @@ let certify_cmd =
 
 let optimize_cmd =
   let run w trials seed max_size no_min_cut defines correct static =
-    let defines = if defines = [] then [ ("N", 8); ("T", 3); ("H", 4); ("R", 3); ("Q", 4); ("P", 3) ] else defines in
     let g = find_workload w in
     let config = mk_config trials seed max_size no_min_cut defines in
     let xforms =
@@ -1061,10 +1028,7 @@ let serve_cmd =
     in
     Engine.Service.serve ~config
       ~resolve:(fun name ->
-        match List.assoc_opt name (workloads ()) with
-        | Some g -> Some g
-        | None -> (
-            try Some (Faultlab.Plan.workload_by_name name) with _ -> None))
+        try Some (Faultlab.Plan.workload_by_name name) with Invalid_argument _ -> None)
       ~catalog_of:(fun correct ->
         if correct then Transforms.Registry.all_correct () else Transforms.Registry.as_shipped ())
       ()
@@ -1116,8 +1080,7 @@ let submit_cmd =
       end
     end
     else begin
-      let ws = if ws = [] then List.map fst (workloads ()) else ws in
-      let defines = if defines = [] then [ ("N", 8); ("T", 3) ] else defines in
+      let ws = if ws = [] then List.map fst (Workloads.Registry.all ()) else ws in
       let sub =
         {
           Engine.Wire.s_workloads = ws;
@@ -1125,7 +1088,7 @@ let submit_cmd =
           s_trials = trials;
           s_seed = seed;
           s_max_size = max_size;
-          s_defines = defines;
+          s_defines = Workloads.Registry.with_defines defines;
           s_limit_per = limit_per;
           s_static_gate = static;
           s_certify_gate = certify;

@@ -116,15 +116,19 @@ let refute_or_unknown ?(use_deps = true) ~bounds ~symbols ~valuation ~declared m
 let decide ?(use_intervals = true) ?(use_deps = true) ~symbols g g' (x : Transforms.Xform.t)
     site =
   (* program parameters: declared symbols, anything a container shape
-     mentions, and whatever the caller chose to concretize — hand-built
-     graphs do not always call [add_symbol] *)
+     mentions, and whatever the caller chose to concretize among the graph's
+     free symbols — hand-built graphs do not always call [add_symbol]. A
+     binding the graph never uses is dropped: it would only add a dimension
+     to the refutation grid. *)
   let declared =
     let shape_syms =
       List.concat_map
         (fun (_, (d : Graph.datadesc)) -> List.concat_map Expr.free_syms d.shape)
         (Graph.containers g)
     in
-    List.sort_uniq compare (Graph.symbols g @ shape_syms @ List.map fst symbols)
+    let free = Graph.all_free_syms g in
+    let used = List.filter (fun s -> List.mem s free) (List.map fst symbols) in
+    List.sort_uniq compare (Graph.symbols g @ shape_syms @ used)
   in
   let valuation =
     List.map

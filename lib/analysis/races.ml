@@ -143,7 +143,9 @@ let scope_env ctx st ~entry ~(info : Node.map_info) =
    valuations: the same iteration tuple executes more than once — the
    off-by-one tiling bug. Duplicated accumulations (WCR inside) change
    results even sequentially; otherwise it is only redundant work unless
-   the scope is parallel. *)
+   the scope is parallel. Only outer valuations that agree on every
+   parameter the inner ranges do not mention are compared: two rows of a
+   vectorized 2-D map run the same inner range on different data. *)
 let duplicated_iterations g ctx st ~entry ~(info : Node.map_info) ~sid env0 pairs =
   let findings = ref [] in
   List.iter
@@ -165,6 +167,12 @@ let duplicated_iterations g ctx st ~entry ~(info : Node.map_info) ~sid env0 pair
           let severity =
             if wcr_inside || is_parallel info.schedule then Report.Error else Report.Warning
           in
+          let inner_syms = Subset.free_syms iinfo.ranges in
+          let comparable (rho, rho') =
+            List.for_all2
+              (fun p (v, v') -> v = v' || List.mem p inner_syms)
+              info.params (List.combine rho rho')
+          in
           let witness =
             List.find_map
               (fun (rho, rho') ->
@@ -182,7 +190,7 @@ let duplicated_iterations g ctx st ~entry ~(info : Node.map_info) ~sid env0 pair
                          ca cb ->
                     Some (rho, rho', ca, cb)
                 | _ -> None)
-              pairs
+              (List.filter comparable pairs)
           in
           (match witness with
           | Some (rho, rho', ca, cb) ->

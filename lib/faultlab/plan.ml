@@ -48,7 +48,7 @@ let workload_by_name name =
   match Gen.Generate.by_name name with
   | Some c -> c.Gen.Generate.graph
   | None -> (
-      match List.assoc_opt name (Workloads.Npbench.all ()) with
+      match Workloads.Registry.find name with
       | Some g -> g
       | None -> invalid_arg ("Plan.workload_by_name: unknown workload " ^ name))
 

@@ -44,7 +44,8 @@ type spec = { id : string; level : level; expect : expect; descr : string; paylo
 
 (** Resolve a workload name: generated-program names
     ([gen_<style>_s<seed>_c<idx>]) are rebuilt deterministically via
-    {!Gen.Generate.by_name}; anything else is looked up in the NPBench set.
+    {!Gen.Generate.by_name}; anything else is looked up in
+    {!Workloads.Registry}.
     @raise Invalid_argument for an unknown name. *)
 val workload_by_name : string -> Sdfg.Graph.t
 

@@ -33,3 +33,11 @@ let all_correct () =
   ]
 
 let by_name xs name = List.find_opt (fun (x : Xform.t) -> x.name = name) xs
+
+let all () =
+  List.fold_left
+    (fun acc (x : Xform.t) ->
+      if List.exists (fun (y : Xform.t) -> y.name = x.name) acc then acc else x :: acc)
+    []
+    (as_shipped () @ all_correct ())
+  |> List.rev

@@ -7,5 +7,9 @@
 val as_shipped : unit -> Xform.t list
 val all_correct : unit -> Xform.t list
 
+(** [as_shipped] then [all_correct], each name once (the shipped variant
+    wins): every registered transformation, as [lint] audits them. *)
+val all : unit -> Xform.t list
+
 (** Look a transformation up by name in a list. *)
 val by_name : Xform.t list -> string -> Xform.t option

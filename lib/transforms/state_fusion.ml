@@ -41,12 +41,17 @@ let apply variant g (site : Xform.site) =
           in
           if edge = None then raise (Xform.Cannot_apply "state_fusion: edge gone");
           let writers1 = written_accesses st1 in
-          (* consumers in s1 reading each container (for write-after-read) *)
+          (* consumers in s1 reading each container (for write-after-read);
+             a map consumer is anchored on its exit, since an edge out of
+             the entry would pull the copied node into the map scope *)
           let readers1 =
             List.concat_map
               (fun (e : State.edge) ->
                 match (State.node_opt st1 e.src, e.memlet) with
-                | Some (Node.Access d), Some _ -> [ (d, e.dst) ]
+                | Some (Node.Access d), Some _ -> (
+                    match State.node st1 e.dst with
+                    | Node.Map_entry _ -> [ (d, State.exit_of st1 e.dst) ]
+                    | _ -> [ (d, e.dst) ])
                 | _ -> [])
               (State.edges st1)
             |> List.sort_uniq compare

@@ -7,25 +7,6 @@ module B = Builder.Build
 
 let sym = Symbolic.Expr.sym
 
-let symbols_for name =
-  match name with
-  | "bert_encoder" -> Workloads.Bert.default_symbols
-  | "cloudsc_synth" -> Workloads.Cloudsc.default_symbols
-  | "sddmm_rank" -> [ ("LROWS", 4); ("NCOLS", 6); ("K", 3) ]
-  | _ -> [ ("N", 8); ("T", 3) ]
-
-let symbols_of g =
-  List.filter (fun (s, _) -> List.mem s (Graph.all_free_syms g)) (symbols_for (Graph.name g))
-
-let all_workloads () =
-  Workloads.Npbench.all () @ Workloads.Npb_frontend.all ()
-  @ [
-      ("bert", Workloads.Bert.build ());
-      ("cloudsc", Workloads.Cloudsc.build ());
-      ("fig4", Workloads.Fig4.build ());
-      ("sddmm", (let g, _, _ = Workloads.Sddmm.rank_program () in g));
-    ]
-
 (* producer tmp[i] -> consumer tmp[i-1]: fusable only when offsets are
    ignored, and then only incorrectly *)
 let stencil_pair () =
@@ -60,12 +41,12 @@ let oracle_tests =
     Alcotest.test_case "zero findings on every bundled workload" `Quick (fun () ->
         List.iter
           (fun (name, g) ->
-            match Analysis.Oracle.analyze ~symbols:(symbols_of g) g with
+            match Analysis.Oracle.analyze ~symbols:(Workloads.Registry.symbols_of g) g with
             | [] -> ()
             | fs ->
                 Alcotest.failf "%s: %d unexpected findings, first: %s" name (List.length fs)
                   (Analysis.Report.to_string (List.hd fs)))
-          (all_workloads ()));
+          (Workloads.Registry.all ()));
     Alcotest.test_case "race: silent on axpy" `Quick (fun () ->
         let g = List.assoc "axpy" (Workloads.Npbench.all ()) in
         Alcotest.(check int)
@@ -169,7 +150,7 @@ let defuse_tests =
           (fun (name, g) ->
             Alcotest.(check (list string))
               (name ^ " reads") (Fuzzyflow.Cutout.program_reads g) (Analysis.Defuse.reads g))
-          (all_workloads ()));
+          (Workloads.Registry.all ()));
     Alcotest.test_case "uninitialized transient read" `Quick (fun () ->
         let g = Graph.create "ubd" in
         Graph.add_array g "y" Dtype.F64 [ sym "N" ];

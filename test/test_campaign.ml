@@ -37,6 +37,24 @@ let campaign_tests =
           go 0
         in
         Alcotest.(check bool) "mentions" true (contains table "MapTiling"));
+    Alcotest.test_case "every instance of every registered workload concretizes" `Quick
+      (fun () ->
+        let config =
+          { Difftest.default_config with trials = 1; concretization = Workloads.Registry.symbols }
+        in
+        let c =
+          Campaign.run ~config (Workloads.Registry.all ()) (Transforms.Registry.as_shipped ())
+        in
+        let crashed =
+          List.filter_map
+            (fun (o : Campaign.outcome) ->
+              match o.o_status with
+              | Campaign.Crashed { detail } ->
+                  Some (Campaign.instance_id ~program:o.o_program ~xform:o.o_xform o.o_site ^ ": " ^ detail)
+              | _ -> None)
+            c.outcomes
+        in
+        Alcotest.(check (list string)) "no harness crash" [] crashed);
   ]
 
 let requirements_tests =

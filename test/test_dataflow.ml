@@ -9,34 +9,6 @@ module Fx = Analysis.Fixpoint
 
 let sym = Symbolic.Expr.sym
 
-let symbols_for name =
-  match name with
-  | "bert_encoder" -> Workloads.Bert.default_symbols
-  | "cloudsc_synth" -> Workloads.Cloudsc.default_symbols
-  | "sddmm_rank" -> [ ("LROWS", 4); ("NCOLS", 6); ("K", 3) ]
-  | _ -> [ ("N", 8); ("T", 3) ]
-
-let symbols_of g =
-  List.filter (fun (s, _) -> List.mem s (Graph.all_free_syms g)) (symbols_for (Graph.name g))
-
-let all_workloads () =
-  Workloads.Npbench.all () @ Workloads.Npb_frontend.all ()
-  @ [
-      ("bert", Workloads.Bert.build ());
-      ("cloudsc", Workloads.Cloudsc.build ());
-      ("fig4", Workloads.Fig4.build ());
-      ("sddmm", (let g, _, _ = Workloads.Sddmm.rank_program () in g));
-    ]
-
-let registry_xforms () =
-  Transforms.Registry.as_shipped () @ Transforms.Registry.all_correct ()
-  |> List.fold_left
-       (fun acc (x : Transforms.Xform.t) ->
-         if List.exists (fun (y : Transforms.Xform.t) -> y.name = x.name) acc then acc
-         else x :: acc)
-       []
-  |> List.rev
-
 (* s0 -> {s1, s2} -> s3 *)
 let diamond () =
   let g = Graph.create "diamond" in
@@ -260,7 +232,7 @@ let reachdef_tests =
             | [] -> ()
             | f :: _ ->
                 Alcotest.failf "%s: unexpected %s" name (Analysis.Report.to_string f))
-          (all_workloads ()));
+          (Workloads.Registry.all ()));
   ]
 
 (* ---- intervals ----------------------------------------------------------- *)
@@ -363,8 +335,8 @@ let audit_tests =
                         Alcotest.failf "%s :: %s under-declared: %s" pname
                           x.Transforms.Xform.name (Analysis.Report.to_string f))
                   (x.Transforms.Xform.find g))
-              (registry_xforms ()))
-          (all_workloads ()));
+              (Transforms.Registry.all ()))
+          (Workloads.Registry.all ()));
   ]
 
 (* ---- translation validation upgrades ------------------------------------- *)
@@ -373,7 +345,7 @@ let equiv_upgrade_tests =
   [
     Alcotest.test_case "interval facts upgrade Unknown verdicts" `Quick (fun () ->
         let g = Workloads.Cloudsc.build () in
-        let symbols = symbols_of g in
+        let symbols = Workloads.Registry.symbols_of g in
         let upgraded = ref 0 in
         List.iter
           (fun (x : Transforms.Xform.t) ->
@@ -390,7 +362,7 @@ let equiv_upgrade_tests =
         Alcotest.(check bool) "at least one Unknown became Equivalent" true (!upgraded > 0));
     Alcotest.test_case "upgraded certificates still re-check" `Quick (fun () ->
         let g = Workloads.Cloudsc.build () in
-        let symbols = symbols_of g in
+        let symbols = Workloads.Registry.symbols_of g in
         let checked = ref 0 in
         List.iter
           (fun (x : Transforms.Xform.t) ->
@@ -445,16 +417,16 @@ let regression_tests =
             let errors =
               List.filter
                 (fun (f : Analysis.Report.finding) -> f.severity = Analysis.Report.Error)
-                (Analysis.Oracle.analyze ~symbols:(symbols_of g) g)
+                (Analysis.Oracle.analyze ~symbols:(Workloads.Registry.symbols_of g) g)
             in
             match errors with
             | [] -> ()
             | f :: _ -> Alcotest.failf "%s: %s" name (Analysis.Report.to_string f))
-          (all_workloads ()));
+          (Workloads.Registry.all ()));
     Alcotest.test_case "every fixpoint converges within bounds" `Quick (fun () ->
         List.iter
           (fun (name, g) ->
-            let iv = Analysis.Intervals.solve ~symbols:(symbols_of g) g in
+            let iv = Analysis.Intervals.solve ~symbols:(Workloads.Registry.symbols_of g) g in
             let lv = Analysis.Liveness.solve g in
             let rd = Analysis.Reachdef.solve g in
             List.iter
@@ -468,7 +440,7 @@ let regression_tests =
                 ("liveness", (lv.Fx.converged, lv.Fx.iterations));
                 ("reachdef", (rd.Fx.converged, rd.Fx.iterations));
               ])
-          (all_workloads ()));
+          (Workloads.Registry.all ()));
   ]
 
 let () =

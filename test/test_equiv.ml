@@ -115,6 +115,30 @@ let certify_tests =
             Alcotest.(check bool) "mentions the unsound marker" true (contains why "unsound")
         | Some v -> Alcotest.failf "expected unknown, got %s" (E.verdict_name v)
         | None -> Alcotest.fail "site went stale");
+    Alcotest.test_case "bindings the graph does not use leave a verdict unchanged" `Quick
+      (fun () ->
+        (* an unused binding would add an assumption to the certificate and
+           a dimension to the refutation grid *)
+        let g = Workloads.Npbench.scale () in
+        let site = first_site tiling g in
+        let symbols = symbols_of g in
+        let unused = List.init 10 (fun i -> (Printf.sprintf "U%d" i, 4)) in
+        let v = E.certify ~symbols g tiling site
+        and v' = E.certify ~symbols:(symbols @ unused) g tiling site in
+        Alcotest.(check bool) "proved" true (match v with Some (E.Equivalent _) -> true | _ -> false);
+        Alcotest.(check bool) "same verdict" true (v = v'));
+    Alcotest.test_case "correct vectorization of a 2-D map is not refuted" `Quick (fun () ->
+        (* two rows of the vectorized map run the same inner lane range on
+           different data; that is no duplicated iteration *)
+        let g = Workloads.Npbench.mvt () in
+        let x = Transforms.Vectorization.make Transforms.Vectorization.Correct in
+        List.iter
+          (fun site ->
+            match E.certify ~symbols:(symbols_of g) g x site with
+            | Some (E.Refuted _ as v) ->
+                Alcotest.failf "refuted: %s" (Format.asprintf "%a" E.pp_verdict v)
+            | _ -> ())
+          (x.find g));
   ]
 
 let buf o name = (Interp.Value.buffer o.Interp.Exec.memory name).data

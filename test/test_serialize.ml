@@ -20,14 +20,6 @@ let structurally_equal g1 g2 =
   && List.map (fun (e : Graph.istate_edge) -> (e.src, e.dst, e.cond, e.assigns)) (Graph.istate_edges g1)
      = List.map (fun (e : Graph.istate_edge) -> (e.src, e.dst, e.cond, e.assigns)) (Graph.istate_edges g2)
 
-let all_workloads () =
-  Workloads.Npbench.all ()
-  @ [
-      ("bert", Workloads.Bert.build ());
-      ("cloudsc", Workloads.Cloudsc.build ());
-      ("fig4", Workloads.Fig4.build ());
-    ]
-
 let roundtrip_tests =
   List.map
     (fun (name, g) ->
@@ -36,7 +28,7 @@ let roundtrip_tests =
           Alcotest.(check bool) "structure preserved" true (structurally_equal g g');
           Alcotest.(check int) "still valid" (List.length (Validate.check g))
             (List.length (Validate.check g'))))
-    (all_workloads ())
+    (Workloads.Registry.all ())
 
 let semantic_tests =
   [

@@ -532,6 +532,21 @@ let state_fusion_tests =
         let site = List.hd (x.find g) in
         ignore (x.apply g site);
         Alcotest.(check int) "one fewer" (before - 1) (List.length (Graph.state_ids g)));
+    Alcotest.test_case "correct fusion of cloudsc states 0+1 holds at KLEV=1" `Quick (fun () ->
+        (* a write-after-read edge anchored on condense's map entry would pull
+           state 1 inside that map, whose range 0:KLEV-2 is empty at KLEV=1 *)
+        let g = Workloads.Cloudsc.build () in
+        let x = Transforms.State_fusion.make Transforms.State_fusion.Correct in
+        let site = List.find (fun (s : Transforms.Xform.site) -> s.states = [ 0; 1 ]) (x.find g) in
+        let config =
+          {
+            Fuzzyflow.Difftest.default_config with
+            concretization = Workloads.Registry.symbols;
+            custom_constraints = [ ("KLEV", (1, 1)) ];
+          }
+        in
+        let r = Fuzzyflow.Difftest.test_instance ~config g x site in
+        Alcotest.(check bool) "passes" true (r.verdict = Fuzzyflow.Difftest.Pass));
     Alcotest.test_case "conditional edges are not fusable" `Quick (fun () ->
         let g = Workloads.Npbench.jacobi_1d () in
         let x = Transforms.State_fusion.make Transforms.State_fusion.Correct in

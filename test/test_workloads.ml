@@ -3,13 +3,6 @@
 
 open Sdfg
 
-let symbols_for name =
-  match name with
-  | "bert_encoder" -> Workloads.Bert.default_symbols
-  | "cloudsc_synth" -> Workloads.Cloudsc.default_symbols
-  | "sddmm_rank" -> [ ("LROWS", 4); ("NCOLS", 6); ("K", 3) ]
-  | _ -> [ ("N", 8); ("T", 3) ]
-
 let default_inputs g ~symbols =
   let env = Symbolic.Expr.Env.of_list symbols in
   List.filter_map
@@ -20,15 +13,6 @@ let default_inputs g ~symbols =
         Some (c, Array.init n (fun i -> (0.01 *. float_of_int (i mod 17)) +. 0.5)))
     (Graph.containers g)
 
-let all_workloads () =
-  Workloads.Npbench.all ()
-  @ [
-      ("bert", Workloads.Bert.build ());
-      ("cloudsc", Workloads.Cloudsc.build ());
-      ("fig4", Workloads.Fig4.build ());
-      ("sddmm", (let g, _, _ = Workloads.Sddmm.rank_program () in g));
-    ]
-
 let smoke_tests =
   List.map
     (fun (name, g) ->
@@ -36,15 +20,24 @@ let smoke_tests =
           (match Validate.check g with
           | [] -> ()
           | e :: _ -> Alcotest.fail (Format.asprintf "%a" Validate.pp_error e));
-          let symbols =
-            List.filter
-              (fun (s, _) -> List.mem s (Graph.all_free_syms g))
-              (symbols_for (Graph.name g))
-          in
+          let symbols = Workloads.Registry.symbols_of g in
           match Interp.Exec.run g ~symbols ~inputs:(default_inputs g ~symbols) with
           | Ok _ -> ()
           | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f)))
-    (all_workloads ())
+    (Workloads.Registry.all ())
+
+let registry_tests =
+  [
+    Alcotest.test_case "a define overrides one symbol and keeps the rest" `Quick (fun () ->
+        let v = Workloads.Registry.with_defines [ ("N", 12); ("X", 5); ("N", 13) ] in
+        Alcotest.(check (option int)) "overridden, last wins" (Some 13) (List.assoc_opt "N" v);
+        Alcotest.(check (option int)) "kept" (List.assoc_opt "KLEV" Workloads.Registry.symbols)
+          (List.assoc_opt "KLEV" v);
+        Alcotest.(check (option int)) "appended" (Some 5) (List.assoc_opt "X" v);
+        Alcotest.(check int) "one entry per table symbol"
+          (List.length Workloads.Registry.symbols + 1)
+          (List.length v));
+  ]
 
 let farr = Alcotest.(array (float 1e-9))
 
@@ -224,6 +217,7 @@ let () =
   Alcotest.run "workloads"
     [
       ("smoke", smoke_tests);
+      ("registry", registry_tests);
       ("semantics", semantic_tests);
       ("frontend_kernels", frontend_kernel_tests);
       ("frontend_semantics", frontend_semantic_tests);
